@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sqvae_quantum::embed::amplitude_embedding;
-use sqvae_quantum::grad::adjoint;
+use sqvae_quantum::grad::{adjoint, CircuitGradients};
 use sqvae_quantum::templates::{strongly_entangling_layers, EntangleRange};
 use sqvae_quantum::{Backend, Circuit, FusedDenseBackend, StateVector};
 
@@ -13,6 +13,12 @@ fn circuit(n_qubits: usize, layers: usize) -> (Circuit, Vec<f64>) {
         .unwrap();
     let params: Vec<f64> = (0..c.n_params()).map(|i| 0.1 + 0.01 * i as f64).collect();
     (c, params)
+}
+
+/// Compile + one tape adjoint pass on backend `B`.
+fn adjoint_on<B: Backend>(circ: &Circuit, params: &[f64], upstream: &[f64]) -> CircuitGradients {
+    let tape = circ.compile(params).unwrap();
+    adjoint::backward_expectations_z_tape::<B>(&tape, &[], None, upstream).unwrap()
 }
 
 fn bench_execution_vs_qubits(c: &mut Criterion) {
@@ -52,7 +58,8 @@ fn bench_probabilities(c: &mut Criterion) {
 }
 
 /// Dense vs fused backend on the paper's baseline template (6 qubits,
-/// 3 strongly-entangling layers): forward readout and one adjoint pass.
+/// 3 strongly-entangling layers): forward readout and one adjoint pass,
+/// each compiled to a tape and replayed on that backend.
 /// EXPERIMENTS.md records the measured numbers.
 fn bench_simulator_backends(c: &mut Criterion) {
     let (circ, params) = circuit(6, 3);
@@ -71,22 +78,10 @@ fn bench_simulator_backends(c: &mut Criterion) {
         })
     });
     group.bench_function("adjoint_dense_6q3l", |b| {
-        b.iter(|| {
-            adjoint::backward_expectations_z_on::<StateVector>(&circ, &params, &[], None, &upstream)
-                .unwrap()
-        })
+        b.iter(|| adjoint_on::<StateVector>(&circ, &params, &upstream))
     });
     group.bench_function("adjoint_fused_6q3l", |b| {
-        b.iter(|| {
-            adjoint::backward_expectations_z_on::<FusedDenseBackend>(
-                &circ,
-                &params,
-                &[],
-                None,
-                &upstream,
-            )
-            .unwrap()
-        })
+        b.iter(|| adjoint_on::<FusedDenseBackend>(&circ, &params, &upstream))
     });
     // The 10-qubit probability readout of the baseline decoder, where the
     // larger register makes fused passes count the most.

@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sqvae_core::{models, Autoencoder, Threads, TrainConfig, Trainer};
+use sqvae_core::{models, Autoencoder, ExecPolicy, Threads, TrainConfig, Trainer};
 use sqvae_datasets::Dataset;
 
 fn toy_dataset(n: usize, width: usize) -> Dataset {
@@ -23,7 +23,7 @@ fn one_epoch(model: &mut Autoencoder, data: &Dataset, batch_size: usize, threads
     let mut trainer = Trainer::new(TrainConfig {
         epochs: 1,
         batch_size,
-        threads,
+        exec: ExecPolicy::from_env().with_threads(threads),
         ..TrainConfig::default()
     });
     trainer.train(model, data, None).expect("training succeeds");

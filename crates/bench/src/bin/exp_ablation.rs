@@ -20,7 +20,7 @@ use sqvae_quantum::templates::{strongly_entangling_layers, EntangleRange};
 use sqvae_quantum::Circuit;
 
 fn main() {
-    let args = ExpArgs::parse(std::env::args().skip(1));
+    let args = ExpArgs::from_cli();
     let epochs = args.pick(6, 20);
     let n = args.pick(96, 2492);
     let layers = args.pick(2, models::SCALABLE_LAYERS);
@@ -41,13 +41,9 @@ fn main() {
             let mut rng = StdRng::seed_from_u64(args.seed);
             let mut model = models::sq_ae(1024, 8, layers, &mut rng);
             let hist = Trainer::new(TrainConfig {
-                epochs,
                 quantum_lr: qlr,
                 classical_lr: clr,
-                seed: args.seed,
-                threads: args.threads,
-                backend: args.backend,
-                ..TrainConfig::default()
+                ..args.train_config(epochs)
             })
             .train(&mut model, &train, None)
             .expect("training succeeds");
@@ -72,15 +68,9 @@ fn main() {
             let mut rng = StdRng::seed_from_u64(args.seed);
             let mut model = build(&mut rng);
             let pc = model.parameter_count();
-            let hist = Trainer::new(TrainConfig {
-                epochs,
-                seed: args.seed,
-                threads: args.threads,
-                backend: args.backend,
-                ..TrainConfig::default()
-            })
-            .train(&mut model, &train, None)
-            .expect("training succeeds");
+            let hist = Trainer::new(args.train_config(epochs))
+                .train(&mut model, &train, None)
+                .expect("training succeeds");
             rows.push(vec![
                 label.to_string(),
                 pc.quantum.to_string(),

@@ -20,15 +20,11 @@ use sqvae_datasets::Dataset;
 
 fn train_curve(model: &mut Autoencoder, data: &Dataset, epochs: usize, args: &ExpArgs) -> Vec<f64> {
     let mut trainer = Trainer::new(TrainConfig {
-        epochs,
         // The paper's Fig. 4 training uses a single LR of 0.01 for curve
         // comparison; heterogeneous rates are introduced later (Fig. 7).
         quantum_lr: 0.01,
         classical_lr: 0.01,
-        seed: args.seed,
-        threads: args.threads,
-        backend: args.backend,
-        ..TrainConfig::default()
+        ..args.train_config(epochs)
     });
     trainer
         .train(model, data, None)
@@ -37,7 +33,7 @@ fn train_curve(model: &mut Autoencoder, data: &Dataset, epochs: usize, args: &Ex
 }
 
 fn main() {
-    let args = ExpArgs::parse(std::env::args().skip(1));
+    let args = ExpArgs::from_cli();
     let epochs = args.pick(8, 20);
     let n = args.pick(160, 1000);
 

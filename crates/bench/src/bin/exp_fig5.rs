@@ -14,7 +14,7 @@ use sqvae_core::{models, TrainConfig, Trainer};
 use sqvae_datasets::pdbbind::{generate, PdbbindConfig};
 
 fn main() {
-    let args = ExpArgs::parse(std::env::args().skip(1));
+    let args = ExpArgs::from_cli();
     let epochs = args.pick(6, 20);
     let n = args.pick(120, 2492);
 
@@ -27,13 +27,9 @@ fn main() {
     if args.wants_panel("a") {
         section("Fig. 5(a): baselines on PDBbind ligands (train MSE per epoch, LSD 10)");
         let config = || TrainConfig {
-            epochs,
             quantum_lr: 0.01,
             classical_lr: 0.01,
-            seed: args.seed,
-            threads: args.threads,
-            backend: args.backend,
-            ..TrainConfig::default()
+            ..args.train_config(epochs)
         };
         let mut rng = StdRng::seed_from_u64(args.seed);
 
@@ -65,25 +61,13 @@ fn main() {
         for &lsd in &[10usize, 16, 32, 64, 128] {
             let mut rng = StdRng::seed_from_u64(args.seed);
             let mut ae = models::classical_ae(1024, lsd, &mut rng);
-            let ae_hist = Trainer::new(TrainConfig {
-                epochs,
-                seed: args.seed,
-                threads: args.threads,
-                backend: args.backend,
-                ..TrainConfig::default()
-            })
-            .train(&mut ae, &train, Some(&test))
-            .expect("training succeeds");
+            let ae_hist = Trainer::new(args.train_config(epochs))
+                .train(&mut ae, &train, Some(&test))
+                .expect("training succeeds");
             let mut vae = models::classical_vae(1024, lsd, &mut rng);
-            let vae_hist = Trainer::new(TrainConfig {
-                epochs,
-                seed: args.seed,
-                threads: args.threads,
-                backend: args.backend,
-                ..TrainConfig::default()
-            })
-            .train(&mut vae, &train, Some(&test))
-            .expect("training succeeds");
+            let vae_hist = Trainer::new(args.train_config(epochs))
+                .train(&mut vae, &train, Some(&test))
+                .expect("training succeeds");
             rows.push(vec![
                 lsd.to_string(),
                 format!(

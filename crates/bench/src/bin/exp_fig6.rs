@@ -12,7 +12,7 @@ use sqvae_core::{models, TrainConfig, Trainer};
 use sqvae_datasets::pdbbind::{generate, PdbbindConfig};
 
 fn main() {
-    let args = ExpArgs::parse(std::env::args().skip(1));
+    let args = ExpArgs::from_cli();
     let epochs = 10; // the paper probes epochs 5 and 10 at both scales
     let probe = 5;
     let n = args.pick(128, 2492);
@@ -34,14 +34,10 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(args.seed);
         let mut model = models::sq_ae(1024, patches, layers, &mut rng);
         let hist = Trainer::new(TrainConfig {
-            epochs,
             // The paper tunes depth at a homogeneous LR of 0.001 (§IV-B).
             quantum_lr: 0.001,
             classical_lr: 0.001,
-            seed: args.seed,
-            threads: args.threads,
-            backend: args.backend,
-            ..TrainConfig::default()
+            ..args.train_config(epochs)
         })
         .train(&mut model, &train, Some(&test))
         .expect("training succeeds");

@@ -14,7 +14,7 @@ use sqvae_datasets::pdbbind::{generate, PdbbindConfig};
 const RATES: [f64; 5] = [0.001, 0.003, 0.01, 0.03, 0.1];
 
 fn main() {
-    let args = ExpArgs::parse(std::env::args().skip(1));
+    let args = ExpArgs::from_cli();
     let epochs = args.pick(3, 10);
     let n = args.pick(64, 2492);
     let layers = args.pick(2, 5);
@@ -41,13 +41,9 @@ fn main() {
             let mut rng = StdRng::seed_from_u64(args.seed);
             let mut model = models::sq_ae(1024, patches, layers, &mut rng);
             let hist = Trainer::new(TrainConfig {
-                epochs,
                 quantum_lr: qlr,
                 classical_lr: clr,
-                seed: args.seed,
-                threads: args.threads,
-                backend: args.backend,
-                ..TrainConfig::default()
+                ..args.train_config(epochs)
             })
             .train(&mut model, &train, None)
             .expect("training succeeds");

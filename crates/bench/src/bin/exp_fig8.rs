@@ -12,12 +12,12 @@ use rand::SeedableRng;
 use sqvae_bench::{
     ascii_image, ascii_side_by_side, batch_matrix, print_series, print_table, section, ExpArgs,
 };
-use sqvae_core::{models, patched_latent_dim, TrainConfig, Trainer};
+use sqvae_core::{models, patched_latent_dim, Trainer};
 use sqvae_datasets::cifar_gray::{generate as gen_cifar, CifarGrayConfig};
 use sqvae_datasets::pdbbind::{generate as gen_pdbbind, PdbbindConfig};
 
 fn main() {
-    let args = ExpArgs::parse(std::env::args().skip(1));
+    let args = ExpArgs::from_cli();
     let epochs = args.pick(4, 20);
     let layers = args.pick(2, models::SCALABLE_LAYERS);
 
@@ -32,17 +32,11 @@ fn main() {
         for &p in &[2usize, 4, 8, 16] {
             let lsd = patched_latent_dim(1024, p);
             let run = |mut model: sqvae_core::Autoencoder| -> f64 {
-                Trainer::new(TrainConfig {
-                    epochs,
-                    seed: args.seed,
-                    threads: args.threads,
-                    backend: args.backend,
-                    ..TrainConfig::default()
-                })
-                .train(&mut model, &train, None)
-                .expect("training succeeds")
-                .final_train_mse()
-                .expect("non-empty history")
+                Trainer::new(args.train_config(epochs))
+                    .train(&mut model, &train, None)
+                    .expect("training succeeds")
+                    .final_train_mse()
+                    .expect("non-empty history")
             };
             let mut rng = StdRng::seed_from_u64(args.seed);
             let vae = run(models::classical_vae(1024, lsd, &mut rng));
@@ -69,16 +63,10 @@ fn main() {
     if args.wants_panel("b") {
         section("Fig. 8(b): train MSE per epoch on grayscale CIFAR images (LSD 18)");
         let run = |mut model: sqvae_core::Autoencoder| -> Vec<f64> {
-            Trainer::new(TrainConfig {
-                epochs,
-                seed: args.seed,
-                threads: args.threads,
-                backend: args.backend,
-                ..TrainConfig::default()
-            })
-            .train(&mut model, &train_img, None)
-            .expect("training succeeds")
-            .train_mse_series()
+            Trainer::new(args.train_config(epochs))
+                .train(&mut model, &train_img, None)
+                .expect("training succeeds")
+                .train_mse_series()
         };
         let mut rng = StdRng::seed_from_u64(args.seed);
         print_series(
@@ -97,15 +85,9 @@ fn main() {
         let mut cae = models::classical_ae(1024, 18, &mut rng);
         let mut sq = models::sq_ae(1024, p_img, layers, &mut rng);
         for model in [&mut cae, &mut sq] {
-            Trainer::new(TrainConfig {
-                epochs,
-                seed: args.seed,
-                threads: args.threads,
-                backend: args.backend,
-                ..TrainConfig::default()
-            })
-            .train(model, &train_img, None)
-            .expect("training succeeds");
+            Trainer::new(args.train_config(epochs))
+                .train(model, &train_img, None)
+                .expect("training succeeds");
         }
         for i in 0..3.min(test_img.len()) {
             let x = batch_matrix(&[test_img.sample(i)]);

@@ -27,7 +27,7 @@ fn pixel_stats(samples: &[Vec<f64>]) -> (f64, f64) {
 }
 
 fn main() {
-    let args = ExpArgs::parse(std::env::args().skip(1));
+    let args = ExpArgs::from_cli();
     let epochs = args.pick(6, 20);
 
     section("Extension: SQ-VAE image generation (grayscale CIFAR-like, LSD 18)");
@@ -38,12 +38,8 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(args.seed);
     let mut model = models::sq_vae(1024, 2, args.pick(2, models::SCALABLE_LAYERS), &mut rng);
     let hist = Trainer::new(TrainConfig {
-        epochs,
-        seed: args.seed,
         max_grad_norm: Some(5.0),
-        threads: args.threads,
-        backend: args.backend,
-        ..TrainConfig::default()
+        ..args.train_config(epochs)
     })
     .train(&mut model, &data, None)
     .expect("training succeeds");
@@ -82,13 +78,9 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(args.seed);
     let mut fbq = models::f_bq_vae(64, models::BASELINE_LAYERS, &mut rng);
     Trainer::new(TrainConfig {
-        epochs,
         quantum_lr: 0.01,
         classical_lr: 0.01,
-        seed: args.seed,
-        threads: args.threads,
-        backend: args.backend,
-        ..TrainConfig::default()
+        ..args.train_config(epochs)
     })
     .train(&mut fbq, &digits, None)
     .expect("training succeeds");

@@ -20,7 +20,7 @@ use sqvae_quantum::templates::{strongly_entangling_layers, EntangleRange};
 use sqvae_quantum::Circuit;
 
 fn main() {
-    let args = ExpArgs::parse(std::env::args().skip(1));
+    let args = ExpArgs::from_cli();
     let trajectories = args.pick(300, 2000);
 
     let mut c = Circuit::new(6).expect("valid register");

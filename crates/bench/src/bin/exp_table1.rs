@@ -12,7 +12,7 @@ use sqvae_bench::{print_table_with_csv, section, ExpArgs};
 use sqvae_core::models;
 
 fn main() {
-    let args = ExpArgs::parse(std::env::args().skip(1));
+    let args = ExpArgs::from_cli();
     let mut rng = StdRng::seed_from_u64(args.seed);
 
     section("Table I: trainable parameter counts (64-dim input, 6 qubits, L=3)");

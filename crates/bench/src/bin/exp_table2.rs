@@ -13,7 +13,7 @@ use sqvae_core::{models, patched_latent_dim, sampling, TrainConfig, Trainer};
 use sqvae_datasets::pdbbind::{generate, generate_molecules, PdbbindConfig, PDBBIND_MATRIX_SIZE};
 
 fn main() {
-    let args = ExpArgs::parse(std::env::args().skip(1));
+    let args = ExpArgs::from_cli();
     let n_train = args.pick(128, 2118); // 85% of 2492 at full scale
     let epochs = args.pick(10, 20);
     let n_samples = args.pick(200, 1000);
@@ -48,8 +48,7 @@ fn main() {
         args.train_or_restore(&format!("vae-lsd{lsd}"), &mut vae, |m| {
             let mut trainer = Trainer::new(TrainConfig {
                 epochs,
-                threads: args.threads,
-                backend: args.backend,
+                exec: args.exec,
                 ..TrainConfig::default()
             });
             trainer
@@ -66,8 +65,7 @@ fn main() {
         args.train_or_restore(&format!("sq-lsd{lsd}"), &mut sq, |m| {
             let mut trainer = Trainer::new(TrainConfig {
                 epochs,
-                threads: args.threads,
-                backend: args.backend,
+                exec: args.exec,
                 ..TrainConfig::default()
             });
             trainer

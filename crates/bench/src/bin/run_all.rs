@@ -4,6 +4,8 @@
 use std::process::Command;
 
 fn main() {
+    // Reject a bad command line once, up front, before launching anything.
+    sqvae_bench::ExpArgs::from_cli();
     let pass_through: Vec<String> = std::env::args().skip(1).collect();
     let exe = std::env::current_exe().expect("current executable path");
     let dir = exe.parent().expect("executable directory");

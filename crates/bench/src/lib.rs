@@ -20,8 +20,10 @@
 //! measured numbers next to the paper's.
 
 use sqvae_core::checkpoint;
-use sqvae_core::Autoencoder;
-use sqvae_nn::{BackendKind, ExecPolicy, Matrix, Threads};
+use sqvae_core::{Autoencoder, TrainConfig};
+use sqvae_nn::{ExecPolicy, Matrix, Threads};
+use std::fmt;
+use std::str::FromStr;
 
 /// Scale of an experiment run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,6 +34,46 @@ pub enum Scale {
     Full,
 }
 
+/// Command-line synopsis (after the binary name) shared by every
+/// experiment binary.
+pub const USAGE: &str = "[--quick | --full] [--panel <name>] [--seed <n>] \
+[--threads auto|off|<n>] [--backend dense|fused|soa] [--workers auto|off|<n>] \
+[--save <path>] [--load <path>]";
+
+/// Why [`ExpArgs::parse`] rejected a command line.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ArgsError {
+    /// An argument no experiment binary recognizes.
+    UnknownFlag(String),
+    /// A flag that takes a value was the last argument.
+    MissingValue(&'static str),
+    /// A flag's value did not parse.
+    BadValue {
+        /// The flag.
+        flag: &'static str,
+        /// The value as given.
+        value: String,
+        /// The parser's complaint.
+        reason: String,
+    },
+}
+
+impl fmt::Display for ArgsError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ArgsError::UnknownFlag(flag) => write!(f, "unknown argument '{flag}'"),
+            ArgsError::MissingValue(flag) => write!(f, "{flag} needs a value"),
+            ArgsError::BadValue {
+                flag,
+                value,
+                reason,
+            } => write!(f, "bad value '{value}' for {flag}: {reason}"),
+        }
+    }
+}
+
+impl std::error::Error for ArgsError {}
+
 /// Command-line options shared by every experiment binary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExpArgs {
@@ -41,14 +83,12 @@ pub struct ExpArgs {
     pub panel: Option<String>,
     /// Optional `--seed <n>` override.
     pub seed: u64,
-    /// Batch-row parallelism for quantum layers (`--threads auto|off|<n>`;
-    /// defaults to the `SQVAE_THREADS` environment variable). Results are
-    /// bit-identical for every setting — only wall-clock changes.
-    pub threads: Threads,
-    /// Simulator backend for quantum layers (`--backend dense|fused|soa`;
-    /// defaults to the `SQVAE_BACKEND` environment variable). Backends agree
-    /// to ~1e-15 — only wall-clock changes.
-    pub backend: BackendKind,
+    /// How the quantum layers execute: `--threads auto|off|<n>` and
+    /// `--backend dense|fused|soa`, defaulting to the `SQVAE_THREADS` /
+    /// `SQVAE_BACKEND` environment variables. Results are bit-identical for
+    /// every thread setting and agree to ~1e-15 across backends — only
+    /// wall-clock changes.
+    pub exec: ExecPolicy,
     /// Serving worker-pool size for experiments that stand up an
     /// `InferenceServer` (`--workers auto|off|<n>`; defaults to the
     /// `SQVAE_WORKERS` environment variable). Results are bit-identical
@@ -67,8 +107,7 @@ impl Default for ExpArgs {
             scale: Scale::Quick,
             panel: None,
             seed: 42,
-            threads: Threads::from_env(),
-            backend: BackendKind::from_env(),
+            exec: ExecPolicy::from_env(),
             workers: sqvae::serve::workers_from_env(),
             save: None,
             load: None,
@@ -76,62 +115,81 @@ impl Default for ExpArgs {
     }
 }
 
+/// Takes the value following `flag` and parses it.
+fn flag_value<T>(flag: &'static str, it: &mut impl Iterator<Item = String>) -> Result<T, ArgsError>
+where
+    T: FromStr,
+    T::Err: fmt::Display,
+{
+    let value = it.next().ok_or(ArgsError::MissingValue(flag))?;
+    value.parse().map_err(|e: T::Err| ArgsError::BadValue {
+        flag,
+        reason: e.to_string(),
+        value,
+    })
+}
+
 impl ExpArgs {
     /// Parses `std::env::args()`-style arguments (skipping the binary name).
     ///
     /// Recognized: `--full`, `--quick`, `--panel <name>`, `--seed <n>`,
     /// `--threads <auto|off|n>`, `--backend <dense|fused|soa>`,
-    /// `--workers <auto|off|n>`, `--save <path>`, `--load <path>`. Unknown
-    /// flags are ignored so wrappers can pass extras through.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
+    /// `--workers <auto|off|n>`, `--save <path>`, `--load <path>`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`ArgsError`] for an unknown argument, a flag missing its
+    /// value, or a value that does not parse — a typo never silently runs
+    /// a different experiment.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, ArgsError> {
         let mut out = ExpArgs::default();
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--full" => out.scale = Scale::Full,
                 "--quick" => out.scale = Scale::Quick,
-                "--panel" => out.panel = it.next(),
-                "--seed" => {
-                    if let Some(s) = it.next() {
-                        if let Ok(v) = s.parse() {
-                            out.seed = v;
-                        }
-                    }
-                }
-                "--threads" => {
-                    if let Some(s) = it.next() {
-                        if let Ok(t) = s.parse() {
-                            out.threads = t;
-                        }
-                    }
-                }
-                "--backend" => {
-                    if let Some(s) = it.next() {
-                        if let Ok(b) = s.parse() {
-                            out.backend = b;
-                        }
-                    }
-                }
-                "--workers" => {
-                    if let Some(s) = it.next() {
-                        if let Ok(w) = s.parse() {
-                            out.workers = w;
-                        }
-                    }
-                }
-                "--save" => out.save = it.next(),
-                "--load" => out.load = it.next(),
-                _ => {}
+                "--panel" => out.panel = Some(flag_value("--panel", &mut it)?),
+                "--seed" => out.seed = flag_value("--seed", &mut it)?,
+                "--threads" => out.exec.threads = flag_value("--threads", &mut it)?,
+                "--backend" => out.exec.backend = flag_value("--backend", &mut it)?,
+                "--workers" => out.workers = flag_value("--workers", &mut it)?,
+                "--save" => out.save = Some(flag_value("--save", &mut it)?),
+                "--load" => out.load = Some(flag_value("--load", &mut it)?),
+                _ => return Err(ArgsError::UnknownFlag(a)),
             }
         }
-        out
+        Ok(out)
     }
 
-    /// The unified execution policy the `--threads` / `--backend` flags
-    /// select, ready to hand to `TrainConfig` or
+    /// Parses the process's command line; on error prints it with
+    /// [`USAGE`] to stderr and exits with status 2. The entry point of
+    /// every experiment binary.
+    pub fn from_cli() -> Self {
+        let mut argv = std::env::args();
+        let bin = argv.next().unwrap_or_default();
+        Self::parse(argv).unwrap_or_else(|e| {
+            eprintln!("error: {e}\nusage: {bin} {USAGE}");
+            std::process::exit(2)
+        })
+    }
+
+    /// The execution policy the `--threads` / `--backend` flags select
+    /// ([`ExpArgs::exec`]), ready to hand to `TrainConfig` or
     /// `Module::set_exec_policy`.
     pub fn exec_policy(&self) -> ExecPolicy {
-        ExecPolicy::new(self.threads, self.backend)
+        self.exec
+    }
+
+    /// The training configuration experiments start from: `epochs` passes
+    /// under this run's `--seed` and execution policy, every other
+    /// hyper-parameter at its default.
+    pub fn train_config(&self, epochs: usize) -> TrainConfig {
+        TrainConfig {
+            epochs,
+            seed: self.seed,
+            exec: self.exec,
+            ..TrainConfig::default()
+        }
     }
 
     /// Picks `quick` or `full` by scale.
@@ -314,9 +372,21 @@ pub fn batch_matrix(rows: &[&[f64]]) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sqvae_nn::BackendKind;
 
     fn args(list: &[&str]) -> ExpArgs {
-        ExpArgs::parse(list.iter().map(|s| s.to_string()))
+        ExpArgs::parse(list.iter().map(|s| s.to_string())).unwrap()
+    }
+
+    fn parse_err(list: &[&str]) -> ArgsError {
+        ExpArgs::parse(list.iter().map(|s| s.to_string())).unwrap_err()
+    }
+
+    fn bad_value_flag(list: &[&str]) -> &'static str {
+        match parse_err(list) {
+            ArgsError::BadValue { flag, .. } => flag,
+            other => panic!("expected a bad-value error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -339,19 +409,30 @@ mod tests {
     }
 
     #[test]
-    fn parse_ignores_unknown_and_bad_values() {
-        let a = args(&["--wat", "--seed", "not-a-number"]);
-        assert_eq!(a.seed, 42);
+    fn parse_rejects_unknown_flags_and_bad_values() {
+        assert_eq!(
+            parse_err(&["--wat", "--seed", "7"]),
+            ArgsError::UnknownFlag("--wat".into())
+        );
+        assert_eq!(bad_value_flag(&["--seed", "not-a-number"]), "--seed");
+        assert_eq!(parse_err(&["--seed"]), ArgsError::MissingValue("--seed"));
+        assert_eq!(parse_err(&["--panel"]), ArgsError::MissingValue("--panel"));
+        let msg = parse_err(&["--seed", "x"]).to_string();
+        assert!(msg.contains("--seed") && msg.contains("'x'"), "{msg}");
     }
 
     #[test]
     fn parse_backend_flag() {
-        assert_eq!(args(&["--backend", "fused"]).backend, BackendKind::Fused);
-        assert_eq!(args(&["--backend", "dense"]).backend, BackendKind::Dense);
-        assert_eq!(args(&["--backend", "soa"]).backend, BackendKind::Soa);
-        // Bad specs keep the default rather than aborting an experiment.
-        let default = ExpArgs::default().backend;
-        assert_eq!(args(&["--backend", "quantum"]).backend, default);
+        assert_eq!(
+            args(&["--backend", "fused"]).exec.backend,
+            BackendKind::Fused
+        );
+        assert_eq!(
+            args(&["--backend", "dense"]).exec.backend,
+            BackendKind::Dense
+        );
+        assert_eq!(args(&["--backend", "soa"]).exec.backend, BackendKind::Soa);
+        assert_eq!(bad_value_flag(&["--backend", "quantum"]), "--backend");
     }
 
     #[test]
@@ -364,13 +445,11 @@ mod tests {
 
     #[test]
     fn parse_threads_flag() {
-        assert_eq!(args(&["--threads", "off"]).threads, Threads::Off);
-        assert_eq!(args(&["--threads", "0"]).threads, Threads::Off);
-        assert_eq!(args(&["--threads", "3"]).threads, Threads::Fixed(3));
-        assert_eq!(args(&["--threads", "auto"]).threads, Threads::Auto);
-        // Bad specs keep the default rather than aborting an experiment.
-        let default = ExpArgs::default().threads;
-        assert_eq!(args(&["--threads", "banana"]).threads, default);
+        assert_eq!(args(&["--threads", "off"]).exec.threads, Threads::Off);
+        assert_eq!(args(&["--threads", "0"]).exec.threads, Threads::Off);
+        assert_eq!(args(&["--threads", "3"]).exec.threads, Threads::Fixed(3));
+        assert_eq!(args(&["--threads", "auto"]).exec.threads, Threads::Auto);
+        assert_eq!(bad_value_flag(&["--threads", "banana"]), "--threads");
     }
 
     #[test]
@@ -378,9 +457,7 @@ mod tests {
         assert_eq!(args(&["--workers", "off"]).workers, Threads::Off);
         assert_eq!(args(&["--workers", "4"]).workers, Threads::Fixed(4));
         assert_eq!(args(&["--workers", "auto"]).workers, Threads::Auto);
-        // Bad specs keep the default rather than aborting an experiment.
-        let default = ExpArgs::default().workers;
-        assert_eq!(args(&["--workers", "many"]).workers, default);
+        assert_eq!(bad_value_flag(&["--workers", "many"]), "--workers");
     }
 
     #[test]

@@ -424,6 +424,10 @@ mod tests {
     use std::sync::Mutex as StdMutex;
 
     // The injector is process-global; serialize the tests that install one.
+    // Their plans arm only `WorkerPanic` and `QueueSaturation`, which no
+    // other test in this crate consults: checkpoint and trainer tests
+    // running in parallel must neither draw from these streams nor be hit
+    // by these faults.
     static GATE: StdMutex<()> = StdMutex::new(());
 
     #[test]
@@ -438,14 +442,15 @@ mod tests {
     #[test]
     fn zero_rate_never_fires_and_full_rate_always_fires() {
         let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-        let _scope = FaultScope::install(FaultPlan::quiet(7).with_rate(FaultPoint::NanLoss, 1.0));
+        let _scope =
+            FaultScope::install(FaultPlan::quiet(7).with_rate(FaultPoint::QueueSaturation, 1.0));
         for _ in 0..32 {
             assert_eq!(trigger(FaultPoint::WorkerPanic), None);
-            assert!(trigger(FaultPoint::NanLoss).is_some());
+            assert!(trigger(FaultPoint::QueueSaturation).is_some());
         }
         let s = stats().unwrap();
-        assert_eq!(s.fired_at(FaultPoint::NanLoss), 32);
-        assert_eq!(s.checked_at(FaultPoint::NanLoss), 32);
+        assert_eq!(s.fired_at(FaultPoint::QueueSaturation), 32);
+        assert_eq!(s.checked_at(FaultPoint::QueueSaturation), 32);
         assert_eq!(s.fired_at(FaultPoint::WorkerPanic), 0);
         assert_eq!(s.checked_at(FaultPoint::WorkerPanic), 32);
         assert_eq!(s.total_fired(), 32);
@@ -456,10 +461,10 @@ mod tests {
         let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
         let run = || -> Vec<Option<u64>> {
             let _scope = FaultScope::install(
-                FaultPlan::quiet(42).with_rate(FaultPoint::CheckpointFlip, 0.5),
+                FaultPlan::quiet(42).with_rate(FaultPoint::QueueSaturation, 0.5),
             );
             (0..64)
-                .map(|_| trigger(FaultPoint::CheckpointFlip))
+                .map(|_| trigger(FaultPoint::QueueSaturation))
                 .collect()
         };
         let a = run();
@@ -478,12 +483,12 @@ mod tests {
             let _scope = FaultScope::install(
                 FaultPlan::quiet(3)
                     .with_rate(FaultPoint::WorkerPanic, 0.5)
-                    .with_rate(FaultPoint::NanLoss, 0.5),
+                    .with_rate(FaultPoint::QueueSaturation, 0.5),
             );
             (0..32)
                 .map(|_| {
                     if interleave {
-                        let _ = trigger(FaultPoint::NanLoss);
+                        let _ = trigger(FaultPoint::QueueSaturation);
                     }
                     trigger(FaultPoint::WorkerPanic)
                 })

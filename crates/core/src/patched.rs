@@ -10,7 +10,7 @@
 
 use crate::quantum_layer::{QuantumInput, QuantumLayer, QuantumOutput};
 use rand::Rng;
-use sqvae_nn::{parallel, BackendKind, ExecPolicy, Matrix, Module, NnError, ParamTensor, Threads};
+use sqvae_nn::{parallel, ExecPolicy, Matrix, Module, NnError, ParamTensor, Threads};
 use sqvae_quantum::CompiledTape;
 
 /// Latent space dimension of a patched encoder over `input_dim` features
@@ -61,7 +61,7 @@ pub struct PatchedQuantumLayer {
     in_per_patch: usize,
     out_per_patch: usize,
     threads: Threads,
-    cached_slices: Option<Vec<Matrix>>,
+    cached_input: Option<Matrix>,
 }
 
 impl PatchedQuantumLayer {
@@ -98,7 +98,7 @@ impl PatchedQuantumLayer {
             in_per_patch: per_patch,
             out_per_patch: n_qubits,
             threads: Threads::Off,
-            cached_slices: None,
+            cached_input: None,
         }
     }
 
@@ -131,7 +131,7 @@ impl PatchedQuantumLayer {
             in_per_patch: n_qubits,
             out_per_patch: n_qubits,
             threads: Threads::Off,
-            cached_slices: None,
+            cached_input: None,
         }
     }
 
@@ -150,32 +150,38 @@ impl PatchedQuantumLayer {
         self.out_per_patch * self.patches.len()
     }
 
-    /// Builder-style setter for the threads knob of the execution policy.
-    pub fn with_threads(mut self, threads: Threads) -> Self {
-        self.threads = threads;
+    /// Builder-style variant of [`Module::set_exec_policy`].
+    pub fn with_exec_policy(mut self, policy: ExecPolicy) -> Self {
+        self.set_exec_policy(policy);
         self
     }
 
     /// Lowers every patch's circuit once for a batch pass. Patch circuits
     /// are structurally identical but carry independent trainable angles,
     /// so each patch gets its own tape; all of them are shared immutably
-    /// across the flattened patch × row worker pool.
+    /// across the flattened row × patch worker pool.
     fn compile_tapes(&self) -> Vec<CompiledTape> {
         self.patches
             .iter()
             .map(QuantumLayer::compile_tape)
             .collect()
     }
+
+    /// Patch `k`'s slice of one input row.
+    fn patch_input<'r>(&self, row: &'r [f64], k: usize) -> &'r [f64] {
+        &row[k * self.in_per_patch..(k + 1) * self.in_per_patch]
+    }
 }
 
 impl Module for PatchedQuantumLayer {
     /// Forward pass: each patch circuit is compiled once into a
-    /// [`CompiledTape`], then every `(patch, row)` pair is an independent
+    /// [`CompiledTape`], then every `(row, patch)` pair is an independent
     /// replay of its patch's tape, so the bank flattens the whole
-    /// patch × batch grid into one work list and shards it across threads
-    /// with [`parallel::map_rows`] — a single pool over both axes, no
-    /// nesting. Results land in fixed `(patch, row)` slots, so parallel
-    /// execution is bit-identical to sequential.
+    /// batch × patch grid into one work list and shards it across threads
+    /// with [`parallel::fill_rows`] — a single pool over both axes, no
+    /// nesting. Item `r · p + k` owns the contiguous output block of row
+    /// `r`, patch `k`, and writes it in place, so parallel execution is
+    /// bit-identical to sequential.
     fn forward(&mut self, input: &Matrix) -> Result<Matrix, NnError> {
         if input.cols() != self.in_features() {
             return Err(NnError::ShapeMismatch {
@@ -184,67 +190,58 @@ impl Module for PatchedQuantumLayer {
             });
         }
         let p = self.patches.len();
-        let rows = input.rows();
-        let slices: Vec<Matrix> = (0..p)
-            .map(|k| input.columns(k * self.in_per_patch, (k + 1) * self.in_per_patch))
-            .collect::<Result<_, _>>()?;
         let tapes = self.compile_tapes();
-        let patches = &self.patches;
-        let results = parallel::map_rows(p * rows, self.threads, |idx| {
-            let (k, r) = (idx / rows, idx % rows);
-            patches[k].forward_row_tape(&tapes[k], slices[k].row(r))
-        });
-        let mut out = Matrix::zeros(rows, self.out_features());
-        for k in 0..p {
-            let cols = k * self.out_per_patch..(k + 1) * self.out_per_patch;
-            for r in 0..rows {
-                out.row_mut(r)[cols.clone()].copy_from_slice(&results[k * rows + r]);
-            }
-        }
-        self.cached_slices = Some(slices);
+        let mut out = Matrix::zeros(input.rows(), self.out_features());
+        parallel::fill_rows(
+            out.as_mut_slice(),
+            self.out_per_patch,
+            self.threads,
+            Vec::new,
+            |idx, scratch, slot| {
+                let (r, k) = (idx / p, idx % p);
+                let x = self.patch_input(input.row(r), k);
+                self.patches[k].forward_row(&tapes[k], x, scratch, slot);
+            },
+        );
+        self.cached_input = Some(input.clone());
         Ok(out)
     }
 
-    /// Backward pass, sharded like [`PatchedQuantumLayer::forward`].
-    /// Gradients accumulate per patch in fixed row order, preserving the
-    /// bit-identical determinism guarantee.
+    /// Backward pass, sharded over the same `(row, patch)` work list as
+    /// [`PatchedQuantumLayer::forward`]. Gradients accumulate per patch in
+    /// fixed row order, preserving the bit-identical determinism guarantee.
     fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix, NnError> {
-        let slices = self
-            .cached_slices
-            .take()
+        let input = self
+            .cached_input
+            .as_ref()
             .ok_or(NnError::BackwardBeforeForward)?;
-        let rows = slices.first().map_or(0, Matrix::rows);
+        let rows = input.rows();
         if grad_output.cols() != self.out_features() || grad_output.rows() != rows {
-            self.cached_slices = Some(slices);
             return Err(NnError::ShapeMismatch {
                 expected: (rows, self.out_features()),
                 actual: grad_output.shape(),
             });
         }
-        let p = self.patches.len();
-        let grad_slices: Vec<Matrix> = (0..p)
-            .map(|k| grad_output.columns(k * self.out_per_patch, (k + 1) * self.out_per_patch))
-            .collect::<Result<_, _>>()?;
+        let (p, out) = (self.patches.len(), self.out_per_patch);
         let tapes = self.compile_tapes();
-        let patches = &self.patches;
-        let per = parallel::map_rows(p * rows, self.threads, |idx| {
-            let (k, r) = (idx / rows, idx % rows);
-            patches[k].backward_row_tape(&tapes[k], slices[k].row(r), grad_slices[k].row(r))
+        let per = parallel::map_rows(rows * p, self.threads, |idx| {
+            let (r, k) = (idx / p, idx % p);
+            let upstream = &grad_output.row(r)[k * out..(k + 1) * out];
+            let x = self.patch_input(input.row(r), k);
+            self.patches[k].backward_row(&tapes[k], x, upstream)
         });
         let mut grad_input = Matrix::zeros(rows, self.in_features());
-        for (k, patch) in self.patches.iter_mut().enumerate() {
+        for (idx, grads) in per.iter().enumerate() {
+            let (r, k) = (idx / p, idx % p);
             let cols = k * self.in_per_patch..(k + 1) * self.in_per_patch;
-            for r in 0..rows {
-                let grads = &per[k * rows + r];
-                patch.accumulate_param_grads(&grads.params);
-                // Input gradients exist only for the differentiable angle
-                // embedding; amplitude-embedded raw data gets zeros.
-                if matches!(patch.input_mode(), QuantumInput::Angle) {
-                    grad_input.row_mut(r)[cols.clone()].copy_from_slice(&grads.inputs);
-                }
+            let patch = &mut self.patches[k];
+            patch.accumulate_param_grads(&grads.params);
+            // Input gradients exist only for the differentiable angle
+            // embedding; amplitude-embedded raw data gets zeros.
+            if matches!(patch.input_mode(), QuantumInput::Angle) {
+                grad_input.row_mut(r)[cols].copy_from_slice(&grads.inputs);
             }
         }
-        self.cached_slices = Some(slices);
         Ok(grad_input)
     }
 
@@ -256,25 +253,13 @@ impl Module for PatchedQuantumLayer {
     }
 
     fn set_exec_policy(&mut self, policy: ExecPolicy) {
-        // The bank shards the flattened patch × row grid itself; patches
+        // The bank shards the flattened row × patch grid itself; patches
         // run their own rows inline (a row reaching a patch here is exactly
         // one work item), so no nested pools ever form. The backend knob is
         // forwarded so every patch's tape replays on the same simulator.
         self.threads = policy.threads;
         for patch in &mut self.patches {
             patch.set_exec_policy(policy);
-        }
-    }
-
-    #[allow(deprecated)]
-    fn set_threads(&mut self, threads: Threads) {
-        self.threads = threads;
-    }
-
-    #[allow(deprecated)]
-    fn set_backend(&mut self, backend: BackendKind) {
-        for patch in &mut self.patches {
-            patch.set_backend(backend);
         }
     }
 }
@@ -371,7 +356,8 @@ mod tests {
     fn threaded_patch_bank_matches_sequential_bitwise() {
         let bank_with = |threads: Threads| {
             let mut rng = StdRng::seed_from_u64(9);
-            PatchedQuantumLayer::amplitude_encoder(16, 2, 2, &mut rng).with_threads(threads)
+            PatchedQuantumLayer::amplitude_encoder(16, 2, 2, &mut rng)
+                .with_exec_policy(ExecPolicy::default().with_threads(threads))
         };
         let x = Matrix::from_fn(5, 16, |i, j| 0.05 * (i * 16 + j) as f64 + 0.1);
         let g = Matrix::from_fn(5, 6, |i, j| 0.2 * (i as f64) - 0.1 * (j as f64));
@@ -386,6 +372,35 @@ mod tests {
         par.backward(&g).unwrap();
         let par_grads: Vec<Matrix> = par.parameters().iter().map(|p| p.grad.clone()).collect();
         assert_eq!(par_grads, seq_grads);
+    }
+
+    #[test]
+    fn each_patch_block_is_its_own_layer_bitwise() {
+        // Guards the (row, patch) work indexing: column block k of the bank
+        // output must be exactly patch k's own forward on its input slice,
+        // whatever the chunking of the flattened work list.
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rng = StdRng::seed_from_u64(12);
+        let banks = [
+            PatchedQuantumLayer::amplitude_encoder(32, 4, 2, &mut rng),
+            PatchedQuantumLayer::angle_decoder(12, 3, 2, &mut rng),
+        ];
+        for bank in banks {
+            let width = bank.in_features();
+            let x = Matrix::from_fn(5, width, |i, j| 0.07 * (i * width + j) as f64 - 0.4);
+            for threads in [Threads::Off, Threads::Fixed(3), Threads::Fixed(64)] {
+                let policy = ExecPolicy::default().with_threads(threads);
+                let mut bank = bank.clone().with_exec_policy(policy);
+                let y = bank.forward(&x).unwrap();
+                let (inw, outw) = (bank.in_per_patch, bank.out_per_patch);
+                for (k, patch) in bank.patches.iter().enumerate() {
+                    let slice = x.columns(k * inw, (k + 1) * inw).unwrap();
+                    let own = patch.clone().forward(&slice).unwrap();
+                    let block = y.columns(k * outw, (k + 1) * outw).unwrap();
+                    assert_eq!(bits(&block), bits(&own), "{threads:?} patch {k}");
+                }
+            }
+        }
     }
 
     #[test]

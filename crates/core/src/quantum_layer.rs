@@ -11,9 +11,10 @@
 //! against the upstream-weighted diagonal observable.
 //!
 //! Batch rows are independent simulations, so both passes shard rows across
-//! OS threads according to the layer's [`ExecPolicy`] threads knob (default
-//! [`Threads::Off`]; the trainer propagates its configured policy). The
-//! shared tape is immutable and crosses shard boundaries by reference.
+//! OS threads according to the layer's [`ExecPolicy`] threads knob
+//! (default [`sqvae_nn::Threads::Off`]; the trainer propagates its
+//! configured policy). The shared tape is immutable and crosses shard
+//! boundaries by reference.
 //! Per-row results land in preallocated row slots and gradients accumulate
 //! in fixed row order, so the parallel path is bit-identical to the
 //! sequential one.
@@ -21,11 +22,10 @@
 //! Which simulator executes the tape is the policy's second knob,
 //! [`BackendKind`]: every row dispatches onto the dense reference register,
 //! the fused-kernel backend, or the structure-of-arrays SIMD backend
-//! (`SQVAE_BACKEND`, `TrainConfig::backend`, [`sqvae_nn::ExecPolicy`]);
-//! backends agree to ≤ 1e-12.
+//! (`SQVAE_BACKEND`, `TrainConfig::exec`); backends agree to ≤ 1e-12.
 
 use rand::Rng;
-use sqvae_nn::parallel::{self, Threads};
+use sqvae_nn::parallel;
 use sqvae_nn::{init, BackendKind, ExecPolicy, Matrix, Module, NnError, ParamTensor};
 use sqvae_quantum::embed::{
     amplitude_embedding, angle_embedding_gates, qubits_for_features, RotationAxis,
@@ -149,28 +149,6 @@ impl QuantumLayer {
         self.exec
     }
 
-    /// Builder-style setter for the threads knob of the execution policy.
-    pub fn with_threads(mut self, threads: Threads) -> Self {
-        self.exec.threads = threads;
-        self
-    }
-
-    /// The current batch-row parallelism policy.
-    pub fn threads(&self) -> Threads {
-        self.exec.threads
-    }
-
-    /// Builder-style setter for the backend knob of the execution policy.
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.exec.backend = backend;
-        self
-    }
-
-    /// The simulator backend this layer's circuit executes on.
-    pub fn backend(&self) -> BackendKind {
-        self.exec.backend
-    }
-
     /// Number of wires.
     pub fn n_qubits(&self) -> usize {
         self.circuit.n_qubits()
@@ -222,10 +200,21 @@ impl QuantumLayer {
         }
     }
 
+    /// The tape bindings of one batch row: angle inputs fill the late-bound
+    /// slots, amplitude inputs become the embedded starting state.
+    fn row_bindings<'r, B: Backend>(&self, row: &'r [f64]) -> (&'r [f64], Option<B>) {
+        match self.input_mode {
+            QuantumInput::Amplitude { .. } => {
+                (&[], Some(B::from_statevector(self.embedded_initial(row))))
+            }
+            QuantumInput::Angle => (row, None),
+        }
+    }
+
     /// Lowers the circuit with the **current** trainable angles into a
     /// [`CompiledTape`]. Called once per batch pass; every row then replays
     /// the shared tape. Crate-internal so [`crate::PatchedQuantumLayer`] can
-    /// compile one tape per patch and drive the patch × row grid through its
+    /// compile one tape per patch and drive the row × patch grid through its
     /// own work-sharding without borrowing the layer mutably.
     pub(crate) fn compile_tape(&self) -> CompiledTape {
         self.circuit
@@ -234,23 +223,13 @@ impl QuantumLayer {
     }
 
     /// One batch row's forward simulation: replays `tape` on the configured
-    /// backend (crate-internal for the same reason as
-    /// [`Self::compile_tape`]).
-    pub(crate) fn forward_row_tape(&self, tape: &CompiledTape, row: &[f64]) -> Vec<f64> {
-        match self.exec.backend {
-            BackendKind::Dense => self.forward_row_tape_on::<StateVector>(tape, row),
-            BackendKind::Fused => self.forward_row_tape_on::<FusedDenseBackend>(tape, row),
-            BackendKind::Soa => self.forward_row_tape_on::<SoaDenseBackend>(tape, row),
-        }
-    }
-
-    /// Like [`Self::forward_row_tape`], but writes the row's outputs into
-    /// `slot` through the worker-local `scratch` buffer instead of
-    /// returning a fresh `Vec` — the allocation-free per-row body of
-    /// [`Module::forward`]'s `fill_rows` sharding (probability readout goes
-    /// through [`CompiledTape::probabilities_into_on`], so the `2^n`-wide
-    /// buffer is reused across every row a worker owns).
-    fn forward_row_tape_into(
+    /// backend and writes the row's outputs into `slot` through the
+    /// worker-local `scratch` buffer — the per-row body of both layers'
+    /// `fill_rows` sharding (crate-internal for the same reason as
+    /// [`Self::compile_tape`]). Probability readout goes through
+    /// [`CompiledTape::probabilities_into_on`], so the `2^n`-wide buffer is
+    /// reused across every row a worker owns.
+    pub(crate) fn forward_row(
         &self,
         tape: &CompiledTape,
         row: &[f64],
@@ -258,31 +237,22 @@ impl QuantumLayer {
         slot: &mut [f64],
     ) {
         match self.exec.backend {
-            BackendKind::Dense => {
-                self.forward_row_tape_into_on::<StateVector>(tape, row, scratch, slot)
-            }
+            BackendKind::Dense => self.forward_row_in::<StateVector>(tape, row, scratch, slot),
             BackendKind::Fused => {
-                self.forward_row_tape_into_on::<FusedDenseBackend>(tape, row, scratch, slot)
+                self.forward_row_in::<FusedDenseBackend>(tape, row, scratch, slot)
             }
-            BackendKind::Soa => {
-                self.forward_row_tape_into_on::<SoaDenseBackend>(tape, row, scratch, slot)
-            }
+            BackendKind::Soa => self.forward_row_in::<SoaDenseBackend>(tape, row, scratch, slot),
         }
     }
 
-    fn forward_row_tape_into_on<B: Backend>(
+    fn forward_row_in<B: Backend>(
         &self,
         tape: &CompiledTape,
         row: &[f64],
         scratch: &mut Vec<f64>,
         slot: &mut [f64],
     ) {
-        let (inputs, initial): (&[f64], Option<B>) = match self.input_mode {
-            QuantumInput::Amplitude { .. } => {
-                (&[], Some(B::from_statevector(self.embedded_initial(row))))
-            }
-            QuantumInput::Angle => (row, None),
-        };
+        let (inputs, initial) = self.row_bindings::<B>(row);
         match self.output_mode {
             QuantumOutput::ExpectationZ => {
                 let state = tape
@@ -300,53 +270,29 @@ impl QuantumLayer {
         }
     }
 
-    fn forward_row_tape_on<B: Backend>(&self, tape: &CompiledTape, row: &[f64]) -> Vec<f64> {
-        let (inputs, initial): (&[f64], Option<B>) = match self.input_mode {
-            QuantumInput::Amplitude { .. } => {
-                (&[], Some(B::from_statevector(self.embedded_initial(row))))
-            }
-            QuantumInput::Angle => (row, None),
-        };
-        match self.output_mode {
-            QuantumOutput::ExpectationZ => tape
-                .expectations_z_on(inputs, initial.as_ref())
-                .expect("validated circuit"),
-            QuantumOutput::Probabilities => tape
-                .probabilities_on(inputs, initial.as_ref())
-                .expect("validated circuit"),
-        }
-    }
-
     /// One batch row's adjoint backward pass over `tape`, on the configured
     /// backend (crate-internal for the same reason as
     /// [`Self::compile_tape`]).
-    pub(crate) fn backward_row_tape(
+    pub(crate) fn backward_row(
         &self,
         tape: &CompiledTape,
         row: &[f64],
         upstream: &[f64],
     ) -> CircuitGradients {
         match self.exec.backend {
-            BackendKind::Dense => self.backward_row_tape_on::<StateVector>(tape, row, upstream),
-            BackendKind::Fused => {
-                self.backward_row_tape_on::<FusedDenseBackend>(tape, row, upstream)
-            }
-            BackendKind::Soa => self.backward_row_tape_on::<SoaDenseBackend>(tape, row, upstream),
+            BackendKind::Dense => self.backward_row_in::<StateVector>(tape, row, upstream),
+            BackendKind::Fused => self.backward_row_in::<FusedDenseBackend>(tape, row, upstream),
+            BackendKind::Soa => self.backward_row_in::<SoaDenseBackend>(tape, row, upstream),
         }
     }
 
-    fn backward_row_tape_on<B: Backend>(
+    fn backward_row_in<B: Backend>(
         &self,
         tape: &CompiledTape,
         row: &[f64],
         upstream: &[f64],
     ) -> CircuitGradients {
-        let (inputs, initial): (&[f64], Option<B>) = match self.input_mode {
-            QuantumInput::Amplitude { .. } => {
-                (&[], Some(B::from_statevector(self.embedded_initial(row))))
-            }
-            QuantumInput::Angle => (row, None),
-        };
+        let (inputs, initial) = self.row_bindings::<B>(row);
         match self.output_mode {
             QuantumOutput::ExpectationZ => {
                 adjoint::backward_expectations_z_tape(tape, inputs, initial.as_ref(), upstream)
@@ -383,7 +329,7 @@ impl Module for QuantumLayer {
             self.out_features(),
             self.exec.threads,
             Vec::new,
-            |r, scratch, slot| self.forward_row_tape_into(&tape, input.row(r), scratch, slot),
+            |r, scratch, slot| self.forward_row(&tape, input.row(r), scratch, slot),
         );
         self.cached_input = Some(input.clone());
         Ok(out)
@@ -405,7 +351,7 @@ impl Module for QuantumLayer {
         // relative to even one row's simulation.
         let tape = self.compile_tape();
         let per_row = parallel::map_rows(input.rows(), self.exec.threads, |r| {
-            self.backward_row_tape(&tape, input.row(r), grad_output.row(r))
+            self.backward_row(&tape, input.row(r), grad_output.row(r))
         });
         // Accumulate in fixed row order so parallel runs reproduce the
         // sequential floating-point sums bit for bit.
@@ -428,16 +374,6 @@ impl Module for QuantumLayer {
     fn set_exec_policy(&mut self, policy: ExecPolicy) {
         self.exec = policy;
     }
-
-    #[allow(deprecated)]
-    fn set_threads(&mut self, threads: Threads) {
-        self.exec.threads = threads;
-    }
-
-    #[allow(deprecated)]
-    fn set_backend(&mut self, backend: BackendKind) {
-        self.exec.backend = backend;
-    }
 }
 
 #[cfg(test)]
@@ -445,6 +381,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use sqvae_nn::Threads;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)
@@ -619,7 +556,7 @@ mod tests {
                 QuantumOutput::ExpectationZ,
                 &mut r,
             )
-            .with_threads(threads)
+            .with_exec_policy(ExecPolicy::default().with_threads(threads))
         };
         let x = Matrix::from_fn(7, 3, |i, j| 0.3 * (i as f64) - 0.2 * (j as f64));
         let g = Matrix::from_fn(7, 3, |i, j| 0.1 * (i + j) as f64 - 0.4);
@@ -647,7 +584,8 @@ mod tests {
         ] {
             let layer_with = |backend: BackendKind| {
                 let mut r = rng();
-                QuantumLayer::new(3, 2, input, output, &mut r).with_backend(backend)
+                QuantumLayer::new(3, 2, input, output, &mut r)
+                    .with_exec_policy(ExecPolicy::default().with_backend(backend))
             };
             let x = Matrix::from_fn(4, input_width(input), |i, j| {
                 0.15 * (i + 1) as f64 + 0.07 * j as f64

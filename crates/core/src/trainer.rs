@@ -12,7 +12,7 @@ use crate::hybrid::ParamGroup;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqvae_datasets::Dataset;
-use sqvae_nn::{loss, Adam, BackendKind, ExecPolicy, Matrix, NnError, Optimizer, Threads};
+use sqvae_nn::{loss, Adam, ExecPolicy, Matrix, NnError, Optimizer};
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,17 +40,14 @@ pub struct TrainConfig {
     /// Early stopping: end training when the test MSE has not improved for
     /// this many consecutive epochs (requires a test set; `None` disables).
     pub early_stop_patience: Option<usize>,
-    /// Batch-row parallelism for the quantum layers: rows of each mini-batch
-    /// are sharded across OS threads during the statevector forward runs and
-    /// adjoint backward passes. Results are bit-identical to sequential
-    /// execution for any setting. Defaults to [`Threads::from_env`]
-    /// (`SQVAE_THREADS`: `auto`, `off`/`0`, or a thread count).
-    pub threads: Threads,
-    /// Simulator backend for the quantum layers: `dense` is the reference
-    /// statevector kernels, `fused` the gate-fusing variant (same results to
-    /// ~1e-15, measurably faster). Defaults to [`BackendKind::from_env`]
-    /// (`SQVAE_BACKEND`: `dense` or `fused`).
-    pub backend: BackendKind,
+    /// How the quantum layers execute, installed on the model before each
+    /// run. `threads` shards the rows of each mini-batch across OS threads
+    /// in the forward runs and adjoint backward passes; results are
+    /// bit-identical to sequential execution for any setting. `backend`
+    /// picks the simulator (`dense`, the reference kernels; `fused`; or
+    /// `soa`); backends agree to ~1e-15. Defaults to
+    /// [`ExecPolicy::from_env`] (`SQVAE_THREADS`, `SQVAE_BACKEND`).
+    pub exec: ExecPolicy,
     /// Guard rail against divergence: when a batch produces a non-finite
     /// loss or non-finite gradients, roll the parameters back to the last
     /// good snapshot, scale the learning rates down, optionally re-derive
@@ -124,8 +121,7 @@ impl Default for TrainConfig {
             max_grad_norm: None,
             kl_warmup_epochs: 0,
             early_stop_patience: None,
-            threads: Threads::from_env(),
-            backend: BackendKind::from_env(),
+            exec: ExecPolicy::from_env(),
             nan_guard: Some(NanGuard::default()),
         }
     }
@@ -142,12 +138,10 @@ impl TrainConfig {
         }
     }
 
-    /// The unified execution policy the trainer installs on the model
-    /// before each run — the [`TrainConfig::threads`] and
-    /// [`TrainConfig::backend`] knobs bundled into one
-    /// [`sqvae_nn::ExecPolicy`] value.
+    /// The execution policy the trainer installs on the model before each
+    /// run ([`TrainConfig::exec`]).
     pub fn exec_policy(&self) -> ExecPolicy {
-        ExecPolicy::new(self.threads, self.backend)
+        self.exec
     }
 }
 

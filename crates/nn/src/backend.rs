@@ -5,9 +5,10 @@
 //! use is a training-time policy, exactly like the [`crate::Threads`]
 //! row-parallelism policy that lives next door. [`BackendKind`] names the
 //! available choices, parses from the `SQVAE_BACKEND` environment variable
-//! and `--backend` experiment flags, and travels through
-//! [`crate::Module::set_backend`] from the trainer down to every quantum
-//! stage. Layers without a simulator inside simply ignore it.
+//! and `--backend` experiment flags, and travels inside an
+//! [`crate::ExecPolicy`] through [`crate::Module::set_exec_policy`] from the
+//! trainer down to every quantum stage. Layers without a simulator inside
+//! simply ignore it.
 //!
 //! Every backend computes the same quantities; selections differ only in
 //! wall-clock (and, at the ~1e-15 level, in floating-point rounding, since
@@ -26,9 +27,8 @@ pub enum BackendKind {
     /// The dense reference statevector kernels (one pass per gate).
     #[default]
     Dense,
-    /// Dense amplitudes behind fused kernels: adjacent single-qubit gates
-    /// on one wire collapse into a single 2×2 pass, CNOT runs into one
-    /// permutation pass, and controlled kernels skip the control-clear
+    /// Dense amplitudes behind specialized kernels: a compiled CNOT run is
+    /// one permutation pass, and controlled kernels skip the control-clear
     /// half-space.
     Fused,
     /// Structure-of-arrays dense amplitudes: split re/im `f64` planes whose
@@ -42,9 +42,8 @@ impl BackendKind {
     /// Reads the policy from the `SQVAE_BACKEND` environment variable:
     /// unset, empty, or `dense` → [`BackendKind::Dense`]; `fused` →
     /// [`BackendKind::Fused`]; `soa` → [`BackendKind::Soa`]. Unparseable
-    /// values fall back to the default
-    /// (dense) after a one-time stderr warning (see
-    /// [`BackendKind::from_env_spec`]).
+    /// values fall back to the default (dense) after a one-time stderr
+    /// warning (see [`BackendKind::from_env_spec`]).
     pub fn from_env() -> Self {
         match std::env::var(BACKEND_ENV_VAR) {
             Ok(v) => Self::from_env_spec(&v),

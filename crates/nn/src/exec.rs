@@ -1,12 +1,10 @@
 //! Unified execution policy for quantum-bearing models.
 //!
-//! PRs 2 and 4 grew two parallel plumbing paths — `Module::set_threads` for
-//! row parallelism and `Module::set_backend` for simulator selection —
-//! through every container, layer, trainer config, and experiment flag.
-//! [`ExecPolicy`] bundles both knobs into one value with one setter
-//! ([`crate::Module::set_exec_policy`]), so adding the next execution knob
-//! (e.g. a tape-cache policy) touches one struct instead of six types. The
-//! old setters survive as deprecated thin wrappers; no call site breaks.
+//! [`ExecPolicy`] is the one carrier of the two execution knobs — batch-row
+//! parallelism and simulator backend. It travels as one value from
+//! `TrainConfig` and the experiment flags down through one setter
+//! ([`crate::Module::set_exec_policy`]) to every quantum stage, so adding
+//! the next execution knob touches one struct instead of every layer.
 
 use crate::backend::BackendKind;
 use crate::parallel::Threads;

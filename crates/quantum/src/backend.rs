@@ -7,11 +7,10 @@
 //!
 //! * [`DenseBackend`] (an alias for [`StateVector`]) — the reference
 //!   semantics: every gate is one pass over the `2^n` amplitudes.
-//! * [`FusedDenseBackend`] — the same dense amplitudes behind optimized
-//!   kernels: runs of adjacent single-qubit gates on one wire fuse into a
-//!   single 2×2 matmul pass, a run of CNOTs (the paper's ring template)
-//!   collapses into one permutation pass, and controlled kernels enumerate
-//!   only the control-set half-space instead of scanning the full register.
+//! * [`FusedDenseBackend`] — the same dense amplitudes behind specialized
+//!   kernels: a compiled CNOT run (the paper's ring template) is one
+//!   permutation pass, and controlled kernels enumerate only the
+//!   control-set half-space instead of scanning the full register.
 //! * [`SoaDenseBackend`] — amplitudes split into separate re/im `f64`
 //!   planes (structure-of-arrays) so every kernel is a branch-free
 //!   unit-stride loop the autovectorizer packs into FMA, with cache-blocked
@@ -30,7 +29,6 @@ pub use soa::SoaDenseBackend;
 use crate::complex::C64;
 use crate::embed::RotationAxis;
 use crate::error::{QuantumError, Result};
-use crate::gate::Gate;
 use crate::state::StateVector;
 use crate::tape::{CompiledTape, TapeOp};
 
@@ -156,13 +154,7 @@ pub trait Backend: Clone + std::fmt::Debug {
     /// (cleared first, capacity reused) — the allocation-free counterpart of
     /// [`Backend::probabilities`] for batched readout paths that call it
     /// once per row.
-    ///
-    /// The default falls back to [`Backend::probabilities`]; backends
-    /// override it to fill the reused buffer directly.
-    fn probabilities_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend_from_slice(&self.probabilities());
-    }
+    fn probabilities_into(&self, out: &mut Vec<f64>);
 
     /// The inner product `⟨self|other⟩`.
     ///
@@ -170,26 +162,6 @@ pub trait Backend: Clone + std::fmt::Debug {
     ///
     /// Panics if the dimensions differ.
     fn inner(&self, other: &Self) -> C64;
-
-    /// Executes a gate sequence with resolved parameter/input bindings.
-    ///
-    /// The default walks the ops one gate at a time; backends override it to
-    /// fuse or specialize whole sub-sequences (this is where
-    /// [`FusedDenseBackend`] earns its name).
-    ///
-    /// # Errors
-    ///
-    /// Propagates wire-validation errors from the kernels.
-    fn apply_ops(&mut self, ops: &[Gate], params: &[f64], inputs: &[f64]) -> Result<()>
-    where
-        Self: Sized,
-    {
-        for g in ops {
-            let theta = g.param().map_or(0.0, |p| p.resolve(params, inputs));
-            g.apply(self, theta)?;
-        }
-        Ok(())
-    }
 
     /// Applies one pre-resolved op of a [`CompiledTape`]. `inputs` resolves
     /// late-bound embedding slots ([`TapeOp::Late`]); all other ops ignore
@@ -233,9 +205,9 @@ pub trait Backend: Clone + std::fmt::Debug {
         }
     }
 
-    /// Executes a [`CompiledTape`]'s forward program: the batched
-    /// counterpart of [`Backend::apply_ops`], with all parameter-dependent
-    /// resolution already hoisted out by [`crate::Circuit::compile`].
+    /// Executes a [`CompiledTape`]'s forward program, with all
+    /// parameter-dependent resolution already hoisted out by
+    /// [`crate::Circuit::compile`].
     ///
     /// # Errors
     ///
@@ -262,12 +234,10 @@ pub trait Backend: Clone + std::fmt::Debug {
     /// `G` is the Pauli generator of a rotation about `axis` on `wire`),
     /// then un-applies the pre-inverted rotation `inv` to both registers.
     ///
-    /// The default materializes both registers as dense states for the
-    /// read-only inner-product pass (a clone for non-dense storage), then
-    /// performs the two single-qubit un-applications; every shipped backend
-    /// overrides it with a clone-free traversal, [`FusedDenseBackend`] and
-    /// [`SoaDenseBackend`] with a single fused pass that reads and writes
-    /// each amplitude pair of both registers exactly once.
+    /// Every backend implements it without cloning either register;
+    /// [`FusedDenseBackend`] and [`SoaDenseBackend`] use a single fused pass
+    /// that reads and writes each amplitude pair of both registers exactly
+    /// once.
     ///
     /// # Errors
     ///
@@ -278,25 +248,12 @@ pub trait Backend: Clone + std::fmt::Debug {
         axis: RotationAxis,
         wire: usize,
         inv: &[[C64; 2]; 2],
-    ) -> Result<f64>
-    where
-        Self: Sized,
-    {
-        self.check_wire(wire)?;
-        let mask = 1usize << self.bit_of_wire(wire);
-        let ket_sv = self.to_statevector();
-        let bra_sv = bra.to_statevector();
-        let acc = generator_inner_im(ket_sv.amplitudes(), bra_sv.amplitudes(), axis, mask);
-        self.apply_single_qubit(wire, inv)?;
-        bra.apply_single_qubit(wire, inv)?;
-        Ok(acc)
-    }
+    ) -> Result<f64>;
 }
 
 /// The generator inner product `Im⟨bra|G|ket⟩` over dense amplitude slices,
 /// for the Pauli generator `G` of a rotation about `axis` on the wire whose
-/// bit mask is `mask`. Shared by the dense backend's rotation stop and the
-/// trait's fallback.
+/// bit mask is `mask`: the dense backend's rotation stop.
 fn generator_inner_im(ket: &[C64], bra_amps: &[C64], axis: RotationAxis, mask: usize) -> f64 {
     let mut acc = 0.0;
     match axis {
@@ -410,20 +367,19 @@ impl Backend for StateVector {
 ///
 /// Three optimizations over the reference [`DenseBackend`]:
 ///
-/// 1. **Single-qubit fusion** — adjacent single-qubit gates on the same wire
-///    (the template's `RZ·RY·RZ` rotations) compose into one 2×2 matrix
-///    applied in a single pass over the amplitudes.
-/// 2. **CNOT-run specialization** — a run of consecutive CNOTs (the paper's
-///    ring entangler) is a basis-state permutation; the whole run becomes
-///    one gather pass instead of one sweep per gate.
-/// 3. **Half-space controlled kernels** — [`Backend::apply_controlled`] and
-///    [`Backend::apply_cnot`] enumerate only the `dim/4` indices with the
-///    control bit set and the target bit clear, instead of scanning and
-///    testing all `2^n` indices.
+/// 1. **CNOT-run specialization** — a compiled [`TapeOp::CnotRun`] (the
+///    paper's ring entangler) is a basis-state permutation; the whole run
+///    becomes one gather pass instead of one sweep per gate.
+/// 2. **Half-space controlled kernels** — [`Backend::apply_controlled`],
+///    [`Backend::apply_cnot`] and diagonal [`TapeOp::Phase`] ops enumerate
+///    only the `dim/4` indices with the control bit set and the target bit
+///    clear, instead of scanning and testing all `2^n` indices.
+/// 3. **Fused adjoint stops** — [`Backend::adjoint_rotation_stop`] reads and
+///    writes each amplitude pair of ket and bra exactly once.
 ///
-/// Because fusion reorders floating-point arithmetic, results match the
-/// dense backend to ~1e-15 per amplitude (property-tested at ≤1e-12), not
-/// bit-for-bit. For a fixed backend selection, results remain fully
+/// Because these kernels reorder floating-point arithmetic, results match
+/// the dense backend to ~1e-15 per amplitude (property-tested at ≤1e-12),
+/// not bit-for-bit. For a fixed backend selection, results remain fully
 /// deterministic.
 ///
 /// # Examples
@@ -591,10 +547,13 @@ impl Backend for FusedDenseBackend {
 
     fn apply_tape_op(&mut self, op: &TapeOp, inputs: &[f64]) -> Result<()> {
         match op {
-            // A pre-compiled CNOT run is exactly the permutation pass the
-            // eager fusion discovers gate by gate — apply it directly.
-            TapeOp::CnotRun(pairs) if pairs.len() >= 2 => self.apply_cnot_run(pairs),
-            TapeOp::CnotRun(pairs) => Backend::apply_cnot(self, pairs[0].0, pairs[0].1),
+            // A run of two or more CNOTs is one permutation pass; a single
+            // CNOT takes the half-space swap, and an empty run is a no-op.
+            TapeOp::CnotRun(pairs) => match pairs.as_slice() {
+                [] => Ok(()),
+                &[(c, t)] => Backend::apply_cnot(self, c, t),
+                _ => self.apply_cnot_run(pairs),
+            },
             // Controlled diagonal phases touch two amplitudes per pair with
             // one multiplication each — no 2×2 matmul needed.
             TapeOp::Phase { control, target, d } => {
@@ -665,52 +624,10 @@ impl Backend for FusedDenseBackend {
         }
         Ok(acc)
     }
-
-    fn apply_ops(&mut self, ops: &[Gate], params: &[f64], inputs: &[f64]) -> Result<()> {
-        let resolve = |g: &Gate| g.param().map_or(0.0, |p| p.resolve(params, inputs));
-        let mut i = 0;
-        while i < ops.len() {
-            let theta = resolve(&ops[i]);
-            if let Some((wire, mut m)) = ops[i].single_qubit_matrix(theta) {
-                // Fuse the maximal run of single-qubit gates on this wire.
-                let mut j = i + 1;
-                while j < ops.len() {
-                    match ops[j].single_qubit_matrix(resolve(&ops[j])) {
-                        Some((w2, m2)) if w2 == wire => {
-                            m = matmul2(&m2, &m);
-                            j += 1;
-                        }
-                        _ => break,
-                    }
-                }
-                self.apply_single_qubit(wire, &m)?;
-                i = j;
-            } else if matches!(ops[i], Gate::CNOT(..)) {
-                // Collect the maximal run of consecutive CNOTs (the ring
-                // template) and apply it as one permutation pass.
-                let mut pairs = Vec::new();
-                let mut j = i;
-                while let Some(Gate::CNOT(c, t)) = ops.get(j) {
-                    pairs.push((*c, *t));
-                    j += 1;
-                }
-                if pairs.len() >= 2 {
-                    self.apply_cnot_run(&pairs)?;
-                } else {
-                    self.apply_cnot(pairs[0].0, pairs[0].1)?;
-                }
-                i = j;
-            } else {
-                ops[i].apply(self, theta)?;
-                i += 1;
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Row-major product `a · b` of two 2×2 complex matrices (gate `b` applied
-/// first, then `a`). Shared with the tape compiler's fusion pass.
+/// first, then `a`): the tape compiler's single-qubit fusion step.
 pub(crate) fn matmul2(a: &[[C64; 2]; 2], b: &[[C64; 2]; 2]) -> [[C64; 2]; 2] {
     [
         [
@@ -821,6 +738,20 @@ mod tests {
         assert!(Backend::apply_cnot(&mut f, 0, 5).is_err());
         assert!(Backend::apply_controlled(&mut f, 3, 0, &pauli_x()).is_err());
         assert!(f.apply_cnot_run(&[(0, 1), (1, 1)]).is_err());
+    }
+
+    #[test]
+    fn empty_cnot_run_is_a_no_op_on_every_backend() {
+        fn check<B: Backend>() {
+            let mut s = B::zero_state(2).unwrap();
+            s.apply_single_qubit(0, &ry_matrix(0.7)).unwrap();
+            let before = s.to_statevector();
+            s.apply_tape_op(&TapeOp::CnotRun(vec![]), &[]).unwrap();
+            assert_eq!(s.to_statevector(), before, "{}", B::NAME);
+        }
+        check::<DenseBackend>();
+        check::<FusedDenseBackend>();
+        check::<SoaDenseBackend>();
     }
 
     #[test]

@@ -17,12 +17,13 @@
 //! *upstream-weighted* diagonal yields `dL/dθ` and `dL/dx` directly — the
 //! quantum layer's `backward()`.
 //!
-//! Two sweeps are provided per readout: the eager gate-by-gate `*_on`
-//! functions (the reference semantics), and the `*_tape` functions that
-//! replay a [`CompiledTape`]'s pre-lowered adjoint program — pre-inverted
-//! fused fixed segments, pre-resolved inverse rotations, and fused
-//! single-pass generator inner products. Batched training compiles once per
-//! mini-batch and runs the tape sweep per row.
+//! Two sweeps are provided per readout: the gate-by-gate functions on the
+//! dense [`StateVector`] (the reference oracle the tests compare against),
+//! and the `*_tape` functions that replay a [`CompiledTape`]'s pre-lowered
+//! adjoint program on any [`Backend`] — pre-inverted fused fixed segments,
+//! pre-resolved inverse rotations, and fused single-pass generator inner
+//! products. Batched training compiles once per mini-batch and runs the
+//! tape sweep per row.
 
 use crate::backend::Backend;
 use crate::circuit::Circuit;
@@ -35,24 +36,27 @@ use crate::observable::{probability_diagonal, weighted_z_sum_diagonal};
 use crate::state::StateVector;
 use crate::tape::{AdjointStep, AdjointStop, CompiledTape, TapeOp};
 
-/// [`vjp_diagonal`] generalized over the simulator [`Backend`]: the forward
-/// run, the backward un-application sweep, and the generator inner products
-/// all execute on `B`'s kernels.
+/// Vector-Jacobian product of `E = ⟨ψ|diag|ψ⟩` with respect to trainable
+/// parameters and embedded inputs.
 ///
-/// This is the **eager, gate-by-gate** reference sweep. The production
-/// training path compiles the circuit once per batch and runs
-/// [`vjp_diagonal_tape`] instead; the two are property-tested to agree at
-/// ≤ 1e-12.
+/// `initial` is the embedded starting state (`None` = `|0…0⟩`). The returned
+/// gradients accumulate over every gate sharing a parameter index.
+///
+/// This is the **gate-by-gate reference oracle** on the dense
+/// [`StateVector`]: it walks the circuit's gate list forward and backward
+/// and never touches a compiled tape. Production passes compile the circuit
+/// once per batch and run [`vjp_diagonal_tape`] on any backend instead; the
+/// two are property-tested to agree at ≤ 1e-12.
 ///
 /// # Errors
 ///
 /// Returns binding-count or dimension errors from circuit execution, and a
 /// dimension error if `diag` does not match the register.
-pub fn vjp_diagonal_on<B: Backend>(
+pub fn vjp_diagonal(
     circuit: &Circuit,
     params: &[f64],
     inputs: &[f64],
-    initial: Option<&B>,
+    initial: Option<&StateVector>,
     diag: &[f64],
 ) -> Result<CircuitGradients> {
     circuit.check_bindings(params, inputs)?;
@@ -63,11 +67,14 @@ pub fn vjp_diagonal_on<B: Backend>(
             actual: diag.len(),
         });
     }
+    let resolve = |gate: &Gate| gate.param().map_or(0.0, |p| p.resolve(params, inputs));
 
-    // Forward pass, deliberately eager ([`Backend::apply_ops`], not the
-    // compiled tape) so this function stays a tape-independent oracle.
-    let mut ket = circuit.start_state(initial)?;
-    ket.apply_ops(circuit.ops(), params, inputs)?;
+    // Forward pass, deliberately gate by gate (not the compiled tape) so
+    // this function stays a tape-independent oracle.
+    let mut ket: StateVector = circuit.start_state(initial)?;
+    for gate in circuit.ops() {
+        gate.apply(&mut ket, resolve(gate))?;
+    }
     let mut bra = ket.clone();
     bra.apply_diagonal_real(diag);
 
@@ -75,9 +82,8 @@ pub fn vjp_diagonal_on<B: Backend>(
 
     // Backward sweep.
     for gate in circuit.ops().iter().rev() {
-        let binding = gate.param();
-        let theta = binding.map_or(0.0, |p| p.resolve(params, inputs));
-        match binding {
+        let theta = resolve(gate);
+        match gate.param() {
             Some(Param::Train(idx)) => {
                 let mut d = ket.clone();
                 gate.apply_generator(&mut d)?;
@@ -96,56 +102,14 @@ pub fn vjp_diagonal_on<B: Backend>(
     Ok(grads)
 }
 
-/// Vector-Jacobian product of `E = ⟨ψ|diag|ψ⟩` with respect to trainable
-/// parameters and embedded inputs, on the dense reference backend.
-///
-/// `initial` is the embedded starting state (`None` = `|0…0⟩`). The returned
-/// gradients accumulate over every gate sharing a parameter index.
-///
-/// # Errors
-///
-/// See [`vjp_diagonal_on`].
-pub fn vjp_diagonal(
-    circuit: &Circuit,
-    params: &[f64],
-    inputs: &[f64],
-    initial: Option<&StateVector>,
-    diag: &[f64],
-) -> Result<CircuitGradients> {
-    vjp_diagonal_on(circuit, params, inputs, initial, diag)
-}
-
-/// [`backward_expectations_z`] generalized over the simulator [`Backend`].
+/// Backward pass for a per-wire `⟨Z⟩` readout: given the upstream gradient
+/// `dL/d⟨Z_w⟩` for every wire `w`, returns `dL/dθ` and `dL/dx` (the
+/// gate-by-gate oracle; see [`vjp_diagonal`]).
 ///
 /// # Errors
 ///
 /// Returns a dimension error if `upstream.len() != n_qubits`, plus execution
 /// errors.
-pub fn backward_expectations_z_on<B: Backend>(
-    circuit: &Circuit,
-    params: &[f64],
-    inputs: &[f64],
-    initial: Option<&B>,
-    upstream: &[f64],
-) -> Result<CircuitGradients> {
-    let n = circuit.n_qubits();
-    if upstream.len() != n {
-        return Err(QuantumError::DimensionMismatch {
-            expected: n,
-            actual: upstream.len(),
-        });
-    }
-    let wires: Vec<usize> = (0..n).collect();
-    let diag = weighted_z_sum_diagonal(n, &wires, upstream)?;
-    vjp_diagonal_on(circuit, params, inputs, initial, &diag)
-}
-
-/// Backward pass for a per-wire `⟨Z⟩` readout: given the upstream gradient
-/// `dL/d⟨Z_w⟩` for every wire `w`, returns `dL/dθ` and `dL/dx`.
-///
-/// # Errors
-///
-/// See [`backward_expectations_z_on`].
 pub fn backward_expectations_z(
     circuit: &Circuit,
     params: &[f64],
@@ -153,32 +117,18 @@ pub fn backward_expectations_z(
     initial: Option<&StateVector>,
     upstream: &[f64],
 ) -> Result<CircuitGradients> {
-    backward_expectations_z_on(circuit, params, inputs, initial, upstream)
+    let diag = expectations_z_diagonal(circuit.n_qubits(), upstream)?;
+    vjp_diagonal(circuit, params, inputs, initial, &diag)
 }
 
-/// [`backward_probabilities`] generalized over the simulator [`Backend`].
+/// Backward pass for a basis-state probability readout: given the upstream
+/// gradient `dL/dp_i` for every basis state `i`, returns `dL/dθ` and `dL/dx`
+/// (the gate-by-gate oracle; see [`vjp_diagonal`]).
 ///
 /// # Errors
 ///
 /// Returns a dimension error if `upstream.len() != 2^n_qubits`, plus
 /// execution errors.
-pub fn backward_probabilities_on<B: Backend>(
-    circuit: &Circuit,
-    params: &[f64],
-    inputs: &[f64],
-    initial: Option<&B>,
-    upstream: &[f64],
-) -> Result<CircuitGradients> {
-    let diag = probability_diagonal(circuit.n_qubits(), upstream)?;
-    vjp_diagonal_on(circuit, params, inputs, initial, &diag)
-}
-
-/// Backward pass for a basis-state probability readout: given the upstream
-/// gradient `dL/dp_i` for every basis state `i`, returns `dL/dθ` and `dL/dx`.
-///
-/// # Errors
-///
-/// See [`backward_probabilities_on`].
 pub fn backward_probabilities(
     circuit: &Circuit,
     params: &[f64],
@@ -186,7 +136,21 @@ pub fn backward_probabilities(
     initial: Option<&StateVector>,
     upstream: &[f64],
 ) -> Result<CircuitGradients> {
-    backward_probabilities_on(circuit, params, inputs, initial, upstream)
+    let diag = probability_diagonal(circuit.n_qubits(), upstream)?;
+    vjp_diagonal(circuit, params, inputs, initial, &diag)
+}
+
+/// The upstream-weighted `Σ_w u_w Z_w` diagonal of a per-wire `⟨Z⟩`
+/// readout on `n` wires.
+fn expectations_z_diagonal(n: usize, upstream: &[f64]) -> Result<Vec<f64>> {
+    if upstream.len() != n {
+        return Err(QuantumError::DimensionMismatch {
+            expected: n,
+            actual: upstream.len(),
+        });
+    }
+    let wires: Vec<usize> = (0..n).collect();
+    weighted_z_sum_diagonal(n, &wires, upstream)
 }
 
 /// `Im⟨bra|G|ket⟩` via the generic clone + [`Gate::apply_generator`] path —
@@ -250,12 +214,13 @@ fn rotation_stop_parts(stop: &AdjointStop, inputs: &[f64]) -> Result<Option<Rota
     }
 }
 
-/// [`vjp_diagonal_on`] against a pre-compiled tape: the production batched
-/// path. The forward run executes the tape, and the backward sweep replays
-/// the tape's pre-lowered adjoint program — fixed-gate segments between
-/// parametrized stops are already inverted and fused, trainable stops carry
-/// pre-resolved inverse matrices, and the generator inner products for
-/// single-qubit rotations run as one fused pass over the amplitudes.
+/// [`vjp_diagonal`] against a pre-compiled tape, on any [`Backend`]: the
+/// production batched path. The forward run executes the tape, and the
+/// backward sweep replays the tape's pre-lowered adjoint program —
+/// fixed-gate segments between parametrized stops are already inverted and
+/// fused, trainable stops carry pre-resolved inverse matrices, and the
+/// generator inner products for single-qubit rotations run as one fused
+/// pass over the amplitudes.
 ///
 /// Compile once per batch ([`crate::Circuit::compile`]) and call this per
 /// row.
@@ -317,7 +282,8 @@ pub fn vjp_diagonal_tape<B: Backend>(
     Ok(grads)
 }
 
-/// [`backward_expectations_z_on`] against a pre-compiled tape.
+/// [`backward_expectations_z`] against a pre-compiled tape, on any
+/// [`Backend`].
 ///
 /// # Errors
 ///
@@ -329,19 +295,12 @@ pub fn backward_expectations_z_tape<B: Backend>(
     initial: Option<&B>,
     upstream: &[f64],
 ) -> Result<CircuitGradients> {
-    let n = tape.n_qubits();
-    if upstream.len() != n {
-        return Err(QuantumError::DimensionMismatch {
-            expected: n,
-            actual: upstream.len(),
-        });
-    }
-    let wires: Vec<usize> = (0..n).collect();
-    let diag = weighted_z_sum_diagonal(n, &wires, upstream)?;
+    let diag = expectations_z_diagonal(tape.n_qubits(), upstream)?;
     vjp_diagonal_tape(tape, inputs, initial, &diag)
 }
 
-/// [`backward_probabilities_on`] against a pre-compiled tape.
+/// [`backward_probabilities`] against a pre-compiled tape, on any
+/// [`Backend`].
 ///
 /// # Errors
 ///

@@ -9,8 +9,7 @@
 //!
 //! * runs of single-qubit gates **pre-fuse** into one 2×2 matrix per wire
 //!   (fusing across gates on *other* wires too, since disjoint single-qubit
-//!   unitaries commute — strictly more fusion than the eager
-//!   [`FusedDenseBackend`](crate::FusedDenseBackend) pass);
+//!   unitaries commute);
 //! * consecutive CNOTs (and SWAPs, as three CNOTs) collapse into one
 //!   [`TapeOp::CnotRun`] permutation;
 //! * controlled phases (`CZ`, `CRZ`) become two pre-resolved **diagonal
@@ -509,6 +508,15 @@ mod tests {
         c
     }
 
+    /// The gate-by-gate reference: applies `c` (no trainable or input
+    /// bindings) to `state` one gate at a time, no tape.
+    fn apply_gate_by_gate(c: &Circuit, state: &mut StateVector) {
+        for g in c.ops() {
+            let theta = g.param().map_or(0.0, |p| p.resolve(&[], &[]));
+            g.apply(state, theta).unwrap();
+        }
+    }
+
     #[test]
     fn template_compiles_to_one_matrix_per_wire_per_layer() {
         // Per layer: RZ·RY·RZ per wire fuse to one OneQ each, the CNOT ring
@@ -548,7 +556,7 @@ mod tests {
         assert_eq!(tape.forward_ops().len(), 2);
         let state: DenseBackend = tape.execute_on(&[], None).unwrap();
         let mut reference = StateVector::zero_state(2).unwrap();
-        reference.apply_ops(c.ops(), &[], &[]).unwrap();
+        apply_gate_by_gate(&c, &mut reference);
         for (a, b) in state.amplitudes().iter().zip(reference.amplitudes()) {
             assert!(a.approx_eq(*b, 1e-15), "{a} vs {b}");
         }
@@ -586,7 +594,7 @@ mod tests {
                 .apply_single_qubit(w, &crate::gate::hadamard())
                 .unwrap();
         }
-        dense.apply_ops(c.ops(), &[], &[]).unwrap();
+        apply_gate_by_gate(&c, &mut dense);
         for (a, b) in fused
             .to_statevector()
             .amplitudes()

@@ -1,68 +1,24 @@
-//! Backend equivalence: every optimized backend (fused kernels,
-//! structure-of-arrays SIMD) must reproduce the dense reference backend —
-//! forward states, measurements, and adjoint gradients — to ≤ 1e-12 on
-//! randomized circuits, and be fully deterministic for a fixed selection.
+//! Backend equivalence: every backend (dense, fused kernels,
+//! structure-of-arrays SIMD) must reproduce the gate-by-gate reference on
+//! the dense `StateVector` — forward states, measurements, and adjoint
+//! gradients — to ≤ 1e-12 on randomized circuits, and be fully
+//! deterministic for a fixed selection.
 
 use proptest::prelude::*;
 use sqvae_quantum::backend::{Backend, DenseBackend, FusedDenseBackend, SoaDenseBackend};
 use sqvae_quantum::embed::{amplitude_embedding, angle_embedding_gates, RotationAxis};
 use sqvae_quantum::grad::{adjoint, paramshift};
 use sqvae_quantum::templates::{strongly_entangling_layers, EntangleRange};
-use sqvae_quantum::{Circuit, Gate, Param};
+use sqvae_quantum::{Circuit, Param};
 
-const TOL: f64 = 1e-12;
+mod common;
 
-/// Strategy: a random gate over `n` wires referencing at most `np` trainable
-/// parameters and `ni` input features, spanning every gate kind the
-/// optimized backends specialize (single-qubit runs, CNOTs, controlled
-/// rotations).
-fn arb_gate(n: usize, np: usize, ni: usize) -> impl Strategy<Value = Gate> {
-    let wire = 0..n;
-    let wire2 = 0..n;
-    let param = prop_oneof![
-        (-3.0..3.0f64).prop_map(Param::Fixed),
-        (0..np).prop_map(Param::Train),
-        (0..ni).prop_map(Param::Input),
-    ];
-    (wire, wire2, param, 0..12u8).prop_map(move |(w, w2, p, kind)| {
-        let w2 = if w2 == w { (w + 1) % n } else { w2 };
-        match kind {
-            0 => Gate::Hadamard(w),
-            1 => Gate::RX(w, p),
-            2 => Gate::RY(w, p),
-            3 => Gate::RZ(w, p),
-            4 => Gate::PauliX(w),
-            5 => Gate::S(w),
-            6 => Gate::T(w),
-            7 if n > 1 => Gate::CNOT(w, w2),
-            8 if n > 1 => Gate::CRZ(w, w2, p),
-            9 if n > 1 => Gate::CRY(w, w2, p),
-            10 if n > 1 => Gate::CZ(w, w2),
-            11 if n > 1 => Gate::SWAP(w, w2),
-            _ => Gate::RY(w, p),
-        }
-    })
-}
+use common::*;
 
-fn build_circuit(n: usize, gates: Vec<Gate>) -> Circuit {
-    let mut c = Circuit::new(n).expect("valid register");
-    for g in gates {
-        c.push(g).expect("valid gate");
-    }
-    c
-}
-
-fn assert_close(a: &[f64], b: &[f64], what: &str) {
-    assert_eq!(a.len(), b.len(), "{what} length");
-    for (x, y) in a.iter().zip(b) {
-        assert!((x - y).abs() <= TOL, "{what}: {x} vs {y}");
-    }
-}
-
-/// Forward execution on `B` reproduces the dense amplitudes, per-wire
+/// Forward execution on `B` reproduces the reference amplitudes, per-wire
 /// expectations, and probabilities.
 fn check_forward_matches_dense<B: Backend>(c: &Circuit, params: &[f64], inputs: &[f64]) {
-    let dense: DenseBackend = c.run_on(params, inputs, None).unwrap();
+    let dense = gate_by_gate(c, params, inputs, None);
     let other: B = c.run_on(params, inputs, None).unwrap();
     let other_sv = other.to_statevector();
     for (a, b) in dense.amplitudes().iter().zip(other_sv.amplitudes()) {
@@ -84,19 +40,17 @@ fn check_forward_matches_dense<B: Backend>(c: &Circuit, params: &[f64], inputs: 
     assert_eq!(reused, other.probabilities(), "{} readout", B::NAME);
 }
 
-/// Adjoint gradients (parameters AND inputs) on `B` reproduce the dense
-/// ones for the ⟨Z⟩ readout.
+/// Tape adjoint gradients (parameters AND inputs) on `B` reproduce the
+/// gate-by-gate dense oracle for the ⟨Z⟩ readout.
 fn check_adjoint_matches_dense_expectations<B: Backend>(
     c: &Circuit,
     params: &[f64],
     inputs: &[f64],
     upstream: &[f64],
 ) {
-    let dense =
-        adjoint::backward_expectations_z_on::<DenseBackend>(c, params, inputs, None, upstream)
-            .unwrap();
-    let other =
-        adjoint::backward_expectations_z_on::<B>(c, params, inputs, None, upstream).unwrap();
+    let dense = adjoint::backward_expectations_z(c, params, inputs, None, upstream).unwrap();
+    let tape = c.compile(params).unwrap();
+    let other = adjoint::backward_expectations_z_tape::<B>(&tape, inputs, None, upstream).unwrap();
     assert_close(
         &dense.params,
         &other.params,
@@ -116,10 +70,9 @@ fn check_adjoint_matches_dense_probabilities<B: Backend>(
     inputs: &[f64],
     upstream: &[f64],
 ) {
-    let dense =
-        adjoint::backward_probabilities_on::<DenseBackend>(c, params, inputs, None, upstream)
-            .unwrap();
-    let other = adjoint::backward_probabilities_on::<B>(c, params, inputs, None, upstream).unwrap();
+    let dense = adjoint::backward_probabilities(c, params, inputs, None, upstream).unwrap();
+    let tape = c.compile(params).unwrap();
+    let other = adjoint::backward_probabilities_tape::<B>(&tape, inputs, None, upstream).unwrap();
     assert_close(
         &dense.params,
         &other.params,
@@ -148,8 +101,8 @@ fn check_paramshift_matches_dense<B: Backend>(c: &Circuit, params: &[f64], input
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Fused and SoA forward execution reproduce the dense amplitudes,
-    /// per-wire expectations, and probabilities.
+    /// Dense, fused and SoA forward execution reproduce the gate-by-gate
+    /// amplitudes, per-wire expectations, and probabilities.
     #[test]
     fn optimized_forward_matches_dense(
         gates in proptest::collection::vec(arb_gate(3, 4, 2), 1..32),
@@ -157,12 +110,13 @@ proptest! {
         inputs in proptest::collection::vec(-2.0..2.0f64, 2),
     ) {
         let c = build_circuit(3, gates);
+        check_forward_matches_dense::<DenseBackend>(&c, &params, &inputs);
         check_forward_matches_dense::<FusedDenseBackend>(&c, &params, &inputs);
         check_forward_matches_dense::<SoaDenseBackend>(&c, &params, &inputs);
     }
 
-    /// Fused and SoA adjoint gradients (parameters AND inputs) reproduce
-    /// the dense ones for the ⟨Z⟩ readout.
+    /// Dense, fused and SoA tape adjoint gradients (parameters AND inputs)
+    /// reproduce the gate-by-gate oracle for the ⟨Z⟩ readout.
     #[test]
     fn optimized_adjoint_matches_dense_expectations(
         gates in proptest::collection::vec(arb_gate(3, 4, 2), 1..24),
@@ -171,6 +125,7 @@ proptest! {
         upstream in proptest::collection::vec(-1.5..1.5f64, 3),
     ) {
         let c = build_circuit(3, gates);
+        check_adjoint_matches_dense_expectations::<DenseBackend>(&c, &params, &inputs, &upstream);
         check_adjoint_matches_dense_expectations::<FusedDenseBackend>(&c, &params, &inputs, &upstream);
         check_adjoint_matches_dense_expectations::<SoaDenseBackend>(&c, &params, &inputs, &upstream);
     }
@@ -184,6 +139,7 @@ proptest! {
         upstream in proptest::collection::vec(-1.0..1.0f64, 4),
     ) {
         let c = build_circuit(2, gates);
+        check_adjoint_matches_dense_probabilities::<DenseBackend>(&c, &params, &inputs, &upstream);
         check_adjoint_matches_dense_probabilities::<FusedDenseBackend>(&c, &params, &inputs, &upstream);
         check_adjoint_matches_dense_probabilities::<SoaDenseBackend>(&c, &params, &inputs, &upstream);
     }
@@ -218,8 +174,10 @@ fn paper_template_matches_on_all_backends() {
     let inputs: Vec<f64> = (0..n).map(|i| 0.3 * i as f64 - 0.8).collect();
     let upstream: Vec<f64> = (0..n).map(|i| 1.0 - 0.4 * i as f64).collect();
 
+    check_forward_matches_dense::<DenseBackend>(&c, &params, &inputs);
     check_forward_matches_dense::<FusedDenseBackend>(&c, &params, &inputs);
     check_forward_matches_dense::<SoaDenseBackend>(&c, &params, &inputs);
+    check_adjoint_matches_dense_expectations::<DenseBackend>(&c, &params, &inputs, &upstream);
     check_adjoint_matches_dense_expectations::<FusedDenseBackend>(&c, &params, &inputs, &upstream);
     check_adjoint_matches_dense_expectations::<SoaDenseBackend>(&c, &params, &inputs, &upstream);
 }
@@ -235,7 +193,7 @@ fn amplitude_embedded_initial_matches() {
         let params: Vec<f64> = (0..c.n_params()).map(|i| 0.09 * (i + 1) as f64).collect();
         let init = amplitude_embedding(&[0.1, 0.5, 0.3, 0.7], 2).unwrap();
 
-        let dense = c.run(&params, &[], Some(&init)).unwrap();
+        let dense = gate_by_gate(&c, &params, &[], Some(&init));
         let other: B = c
             .run_on(&params, &[], Some(&B::from_statevector(init.clone())))
             .unwrap();
@@ -246,9 +204,8 @@ fn amplitude_embedded_initial_matches() {
 
         let gd =
             adjoint::backward_expectations_z(&c, &params, &[], Some(&init), &[1.0, -0.5]).unwrap();
-        let gf = adjoint::backward_expectations_z_on(
-            &c,
-            &params,
+        let gf = adjoint::backward_expectations_z_tape(
+            &c.compile(&params).unwrap(),
             &[],
             Some(&B::from_statevector(init)),
             &[1.0, -0.5],
@@ -256,6 +213,7 @@ fn amplitude_embedded_initial_matches() {
         .unwrap();
         assert_close(&gd.params, &gf.params, "embedded-initial grads");
     }
+    check::<DenseBackend>();
     check::<FusedDenseBackend>();
     check::<SoaDenseBackend>();
 }
@@ -292,7 +250,12 @@ fn mismatched_initial_is_a_typed_error_everywhere() {
         Err(sqvae_quantum::QuantumError::DimensionMismatch { .. })
     ));
     assert!(matches!(
-        adjoint::backward_expectations_z_on(&c, &[0.1], &[], Some(&wide), &[1.0, 0.0]),
+        adjoint::backward_expectations_z_tape(
+            &c.compile(&[0.1]).unwrap(),
+            &[],
+            Some(&wide),
+            &[1.0, 0.0]
+        ),
         Err(sqvae_quantum::QuantumError::DimensionMismatch { .. })
     ));
     let wide = SoaDenseBackend::zero_state(3).unwrap();

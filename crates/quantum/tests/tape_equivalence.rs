@@ -1,71 +1,19 @@
 //! Compiled-tape equivalence: executing a [`CompiledTape`] must reproduce
-//! eager gate-by-gate execution — forward states, expectations,
-//! probabilities, and adjoint gradients — to ≤ 1e-12 on randomized circuits,
-//! on every backend (dense, fused, SoA), and the tape must be reusable
-//! across rows.
+//! gate-by-gate execution on the dense `StateVector` — forward states,
+//! expectations, probabilities, and adjoint gradients — to ≤ 1e-12 on
+//! randomized circuits, on every backend (dense, fused, SoA), and the tape
+//! must be reusable across rows.
 
 use proptest::prelude::*;
 use sqvae_quantum::backend::{Backend, DenseBackend, FusedDenseBackend, SoaDenseBackend};
 use sqvae_quantum::embed::{angle_embedding_gates, RotationAxis};
 use sqvae_quantum::grad::adjoint;
 use sqvae_quantum::templates::{strongly_entangling_layers, EntangleRange};
-use sqvae_quantum::{Circuit, CompiledTape, Gate, Param};
+use sqvae_quantum::{Circuit, CompiledTape, Param};
 
-const TOL: f64 = 1e-12;
+mod common;
 
-/// Strategy: a random gate over `n` wires referencing at most `np` trainable
-/// parameters and `ni` input features, spanning every gate kind the tape
-/// compiler lowers (fusible single-qubit runs, CNOTs/SWAPs, controlled
-/// rotations and phases, late-bound input slots).
-fn arb_gate(n: usize, np: usize, ni: usize) -> impl Strategy<Value = Gate> {
-    let wire = 0..n;
-    let wire2 = 0..n;
-    let param = prop_oneof![
-        (-3.0..3.0f64).prop_map(Param::Fixed),
-        (0..np).prop_map(Param::Train),
-        (0..ni).prop_map(Param::Input),
-    ];
-    (wire, wire2, param, 0..12u8).prop_map(move |(w, w2, p, kind)| {
-        let w2 = if w2 == w { (w + 1) % n } else { w2 };
-        match kind {
-            0 => Gate::Hadamard(w),
-            1 => Gate::RX(w, p),
-            2 => Gate::RY(w, p),
-            3 => Gate::RZ(w, p),
-            4 => Gate::PauliX(w),
-            5 => Gate::S(w),
-            6 => Gate::T(w),
-            7 if n > 1 => Gate::CNOT(w, w2),
-            8 if n > 1 => Gate::CRZ(w, w2, p),
-            9 if n > 1 => Gate::CRY(w, w2, p),
-            10 if n > 1 => Gate::CZ(w, w2),
-            11 if n > 1 => Gate::SWAP(w, w2),
-            _ => Gate::RY(w, p),
-        }
-    })
-}
-
-fn build_circuit(n: usize, gates: Vec<Gate>) -> Circuit {
-    let mut c = Circuit::new(n).expect("valid register");
-    for g in gates {
-        c.push(g).expect("valid gate");
-    }
-    c
-}
-
-/// The eager gate-by-gate reference: explicit `apply_ops`, no tape.
-fn eager_state<B: Backend>(c: &Circuit, params: &[f64], inputs: &[f64]) -> B {
-    let mut s = B::zero_state(c.n_qubits()).unwrap();
-    s.apply_ops(c.ops(), params, inputs).unwrap();
-    s
-}
-
-fn assert_close(a: &[f64], b: &[f64], what: &str) {
-    assert_eq!(a.len(), b.len(), "{what} length");
-    for (x, y) in a.iter().zip(b) {
-        assert!((x - y).abs() <= TOL, "{what}: {x} vs {y}");
-    }
-}
+use common::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -80,7 +28,7 @@ proptest! {
     ) {
         let c = build_circuit(3, gates);
         let tape = c.compile(&params).unwrap();
-        let eager: DenseBackend = eager_state(&c, &params, &inputs);
+        let eager = gate_by_gate(&c, &params, &inputs, None);
         let dense: DenseBackend = tape.execute_on(&inputs, None).unwrap();
         let fused: FusedDenseBackend = tape.execute_on(&inputs, None).unwrap();
         for (a, b) in eager.amplitudes().iter().zip(dense.amplitudes()) {
@@ -127,7 +75,7 @@ proptest! {
     ) {
         let c = build_circuit(3, gates);
         let tape = c.compile(&params).unwrap();
-        let eager = adjoint::backward_expectations_z_on::<DenseBackend>(
+        let eager = adjoint::backward_expectations_z(
             &c, &params, &inputs, None, &upstream).unwrap();
         let dense = adjoint::backward_expectations_z_tape::<DenseBackend>(
             &tape, &inputs, None, &upstream).unwrap();
@@ -153,8 +101,12 @@ proptest! {
     ) {
         let c = build_circuit(2, gates);
         let tape = c.compile(&params).unwrap();
-        let eager = adjoint::backward_probabilities_on::<DenseBackend>(
+        let eager = adjoint::backward_probabilities(
             &c, &params, &inputs, None, &upstream).unwrap();
+        let dense = adjoint::backward_probabilities_tape::<DenseBackend>(
+            &tape, &inputs, None, &upstream).unwrap();
+        assert_close(&eager.params, &dense.params, "dense param gradients");
+        assert_close(&eager.inputs, &dense.inputs, "dense input gradients");
         let taped = adjoint::backward_probabilities_tape::<FusedDenseBackend>(
             &tape, &inputs, None, &upstream).unwrap();
         assert_close(&eager.params, &taped.params, "param gradients");
@@ -178,7 +130,7 @@ proptest! {
         let c = build_circuit(3, gates);
         let tape = c.compile(&params).unwrap();
         for row in &rows {
-            let eager: DenseBackend = eager_state(&c, &params, row);
+            let eager = gate_by_gate(&c, &params, row, None);
             let a: FusedDenseBackend = tape.execute_on(row, None).unwrap();
             let b: FusedDenseBackend = tape.execute_on(row, None).unwrap();
             prop_assert_eq!(&a, &b, "tape re-execution must be deterministic");
@@ -214,7 +166,7 @@ fn paper_template_tape_matches_eager() {
     let upstream: Vec<f64> = (0..n).map(|i| 1.0 - 0.4 * i as f64).collect();
 
     let tape: CompiledTape = c.compile(&params).unwrap();
-    let eager: FusedDenseBackend = eager_state(&c, &params, &inputs);
+    let eager = gate_by_gate(&c, &params, &inputs, None);
     assert_close(
         &c.expectations_z_all(&eager).unwrap(),
         &tape
@@ -223,10 +175,7 @@ fn paper_template_tape_matches_eager() {
         "paper template expectations",
     );
 
-    let ge = adjoint::backward_expectations_z_on::<FusedDenseBackend>(
-        &c, &params, &inputs, None, &upstream,
-    )
-    .unwrap();
+    let ge = adjoint::backward_expectations_z(&c, &params, &inputs, None, &upstream).unwrap();
     let gt =
         adjoint::backward_expectations_z_tape::<FusedDenseBackend>(&tape, &inputs, None, &upstream)
             .unwrap();
@@ -238,6 +187,11 @@ fn paper_template_tape_matches_eager() {
             .unwrap();
     assert_close(&ge.params, &gs.params, "paper template soa param grads");
     assert_close(&ge.inputs, &gs.inputs, "paper template soa input grads");
+
+    let gd = adjoint::backward_expectations_z_tape::<DenseBackend>(&tape, &inputs, None, &upstream)
+        .unwrap();
+    assert_close(&ge.params, &gd.params, "paper template dense param grads");
+    assert_close(&ge.inputs, &gd.inputs, "paper template dense input grads");
     assert_close(
         &c.expectations_z_all(&eager).unwrap(),
         &tape
@@ -265,7 +219,7 @@ fn tape_errors_and_immutability() {
     // the old ones.
     let old: DenseBackend = tape.execute_on(&[], None).unwrap();
     let new: DenseBackend = c.compile(&[1.1]).unwrap().execute_on(&[], None).unwrap();
-    let reference: DenseBackend = eager_state(&c, &[0.3], &[]);
+    let reference = gate_by_gate(&c, &[0.3], &[], None);
     for (a, b) in old.amplitudes().iter().zip(reference.amplitudes()) {
         assert!(a.approx_eq(*b, TOL));
     }

@@ -39,8 +39,7 @@ fn train_with(
     let mut trainer = Trainer::new(TrainConfig {
         epochs: 2,
         batch_size: 4,
-        threads,
-        backend,
+        exec: ExecPolicy::new(threads, backend),
         ..TrainConfig::default()
     });
     let history = trainer.train(&mut model, &data, None).unwrap();
@@ -163,24 +162,4 @@ fn tape_reuse_matrix_is_deterministic() {
             );
         }
     }
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_setters_still_reach_every_stage() {
-    // The pre-PR 6 per-knob API must keep steering the execution policy
-    // (deprecated thin wrappers, not removals).
-    let data = toy_dataset(6, 16, 61);
-    let evaluate = |via_policy: bool| {
-        let mut rng = StdRng::seed_from_u64(60);
-        let mut model = models::sq_vae(16, 2, 1, &mut rng);
-        if via_policy {
-            model.set_exec_policy(ExecPolicy::new(Threads::Fixed(2), BackendKind::Fused));
-        } else {
-            model.set_threads(Threads::Fixed(2));
-            model.set_backend(BackendKind::Fused);
-        }
-        Trainer::evaluate_batched(&mut model, &data, 3).unwrap()
-    };
-    assert_eq!(evaluate(true), evaluate(false));
 }

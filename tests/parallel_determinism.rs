@@ -9,7 +9,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sqvae_core::{models, Autoencoder, History, ParamGroup, Threads, TrainConfig, Trainer};
+use sqvae_core::{
+    models, Autoencoder, ExecPolicy, History, ParamGroup, Threads, TrainConfig, Trainer,
+};
 use sqvae_datasets::Dataset;
 
 fn toy_dataset(n: usize, width: usize, seed: u64) -> Dataset {
@@ -39,7 +41,7 @@ fn train_with(make: fn(&mut StdRng) -> Autoencoder, threads: Threads) -> RunArti
     let mut trainer = Trainer::new(TrainConfig {
         epochs: 2,
         batch_size: 4,
-        threads,
+        exec: ExecPolicy::from_env().with_threads(threads),
         ..TrainConfig::default()
     });
     let history = trainer.train(&mut model, &train, Some(&test)).unwrap();
@@ -110,7 +112,7 @@ fn evaluation_is_thread_count_invariant() {
     let evaluate = |threads: Threads| {
         let mut rng = StdRng::seed_from_u64(20);
         let mut model = models::h_bq_ae(16, 1, &mut rng);
-        model.set_exec_policy(sqvae_core::ExecPolicy::default().with_threads(threads));
+        model.set_exec_policy(ExecPolicy::default().with_threads(threads));
         Trainer::evaluate_batched(&mut model, &data, 4).unwrap()
     };
     let seq = evaluate(Threads::Off);
