@@ -27,10 +27,9 @@ pub mod soa;
 pub use soa::SoaDenseBackend;
 
 use crate::complex::C64;
-use crate::embed::RotationAxis;
 use crate::error::{QuantumError, Result};
 use crate::state::StateVector;
-use crate::tape::{CompiledTape, TapeOp};
+use crate::tape::{input_angle, CompiledTape, TapeOp};
 
 /// The dense reference backend: exactly today's [`StateVector`] kernels.
 pub type DenseBackend = StateVector;
@@ -195,14 +194,25 @@ pub trait Backend: Clone + std::fmt::Debug {
                 }
                 Ok(())
             }
-            TapeOp::Late { gate, index } => {
-                let theta = *inputs.get(*index).ok_or(QuantumError::InputCountMismatch {
-                    expected: *index + 1,
-                    actual: inputs.len(),
-                })?;
-                gate.apply(self, theta)
-            }
+            TapeOp::Late { gate, index } => gate.apply(self, input_angle(inputs, *index)?),
         }
+    }
+
+    /// Applies a slice of tape ops in order. The default applies them one
+    /// by one; [`SoaDenseBackend`] overrides it to run commuting
+    /// single-qubit ops tile by tile.
+    ///
+    /// # Errors
+    ///
+    /// See [`Backend::apply_tape_op`].
+    fn apply_tape_ops(&mut self, ops: &[TapeOp], inputs: &[f64]) -> Result<()>
+    where
+        Self: Sized,
+    {
+        for op in ops {
+            self.apply_tape_op(op, inputs)?;
+        }
+        Ok(())
     }
 
     /// Executes a [`CompiledTape`]'s forward program, with all
@@ -217,71 +227,49 @@ pub trait Backend: Clone + std::fmt::Debug {
     where
         Self: Sized,
     {
-        if inputs.len() < tape.n_inputs() {
-            return Err(QuantumError::InputCountMismatch {
-                expected: tape.n_inputs(),
-                actual: inputs.len(),
-            });
-        }
-        for op in tape.forward_ops() {
-            self.apply_tape_op(op, inputs)?;
-        }
-        Ok(())
+        tape.check_inputs(inputs)?;
+        self.apply_tape_ops(tape.forward_ops(), inputs)
     }
 
-    /// One rotation stop of the adjoint backward sweep, fused: returns the
-    /// generator inner product `Im⟨bra|G|ket⟩` (where `self` is the ket and
-    /// `G` is the Pauli generator of a rotation about `axis` on `wire`),
-    /// then un-applies the pre-inverted rotation `inv` to both registers.
+    /// The 2×2 cross matrix of `self` (the bra) and `ket` on `wire`:
+    /// `M[a][b] = Σ conj(self[i_a])·ket[i_b]`, summed over every basis
+    /// index `i` of the other wires, where `i_a` is `i` with `wire`'s bit
+    /// set to `a`.
     ///
-    /// Every backend implements it without cloning either register;
-    /// [`FusedDenseBackend`] and [`SoaDenseBackend`] use a single fused pass
-    /// that reads and writes each amplitude pair of both registers exactly
-    /// once.
+    /// For any single-qubit operator `Q` on `wire`,
+    /// `⟨self|Q|ket⟩ = Σ_ab Q[a][b]·M[a][b]`: the adjoint sweep reads every
+    /// rotation gradient of a block's wire chain from this one pass.
     ///
     /// # Errors
     ///
     /// Returns [`QuantumError::WireOutOfRange`] for an invalid wire.
-    fn adjoint_rotation_stop(
-        &mut self,
-        bra: &mut Self,
-        axis: RotationAxis,
-        wire: usize,
-        inv: &[[C64; 2]; 2],
-    ) -> Result<f64>;
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dimensions differ.
+    fn cross_matrix(&self, ket: &Self, wire: usize) -> Result<[[C64; 2]; 2]>;
 }
 
-/// The generator inner product `Im⟨bra|G|ket⟩` over dense amplitude slices,
-/// for the Pauli generator `G` of a rotation about `axis` on the wire whose
-/// bit mask is `mask`: the dense backend's rotation stop.
-fn generator_inner_im(ket: &[C64], bra_amps: &[C64], axis: RotationAxis, mask: usize) -> f64 {
-    let mut acc = 0.0;
-    match axis {
-        // (X|ψ⟩)_i = ψ_{i⊕m}: Im(conj(b_i)·ψ_{i⊕m}).
-        RotationAxis::X => {
-            for (i, bi) in bra_amps.iter().enumerate() {
-                let x = ket[i ^ mask];
-                acc += bi.re * x.im - bi.im * x.re;
-            }
-        }
-        // (Y|ψ⟩)_i = ∓i·ψ_{i⊕m} (− with the bit clear): Im picks ∓Re.
-        RotationAxis::Y => {
-            for (i, bi) in bra_amps.iter().enumerate() {
-                let x = ket[i ^ mask];
-                let s = if i & mask == 0 { -1.0 } else { 1.0 };
-                acc += s * (bi.re * x.re + bi.im * x.im);
-            }
-        }
-        // (Z|ψ⟩)_i = ±ψ_i (+ with the bit clear).
-        RotationAxis::Z => {
-            for (i, bi) in bra_amps.iter().enumerate() {
-                let x = ket[i];
-                let s = if i & mask == 0 { 1.0 } else { -1.0 };
-                acc += s * (bi.re * x.im - bi.im * x.re);
-            }
+/// [`Backend::cross_matrix`] over interleaved amplitude slices, for the
+/// wire whose bit stride is `stride`: the dense and fused kernel.
+fn cross_matrix_slices(bra: &[C64], ket: &[C64], stride: usize) -> [[C64; 2]; 2] {
+    assert_eq!(bra.len(), ket.len(), "dimension mismatch");
+    let mut m = [[C64::ZERO; 2]; 2];
+    for (b, k) in bra
+        .chunks_exact(2 * stride)
+        .zip(ket.chunks_exact(2 * stride))
+    {
+        let (b0, b1) = b.split_at(stride);
+        let (k0, k1) = k.split_at(stride);
+        for i in 0..stride {
+            let (c0, c1) = (b0[i].conj(), b1[i].conj());
+            m[0][0] += c0 * k0[i];
+            m[0][1] += c0 * k1[i];
+            m[1][0] += c1 * k0[i];
+            m[1][1] += c1 * k1[i];
         }
     }
-    acc
+    m
 }
 
 impl Backend for StateVector {
@@ -347,25 +335,20 @@ impl Backend for StateVector {
         StateVector::inner(self, other)
     }
 
-    fn adjoint_rotation_stop(
-        &mut self,
-        bra: &mut Self,
-        axis: RotationAxis,
-        wire: usize,
-        inv: &[[C64; 2]; 2],
-    ) -> Result<f64> {
+    fn cross_matrix(&self, ket: &Self, wire: usize) -> Result<[[C64; 2]; 2]> {
         self.check_wire(wire)?;
-        let mask = 1usize << Backend::bit_of_wire(self, wire);
-        let acc = generator_inner_im(self.amplitudes(), bra.amplitudes(), axis, mask);
-        self.apply_single_qubit(wire, inv)?;
-        bra.apply_single_qubit(wire, inv)?;
-        Ok(acc)
+        let stride = 1usize << Backend::bit_of_wire(self, wire);
+        Ok(cross_matrix_slices(
+            self.amplitudes(),
+            ket.amplitudes(),
+            stride,
+        ))
     }
 }
 
 /// Dense amplitudes behind fused and half-space-specialized kernels.
 ///
-/// Three optimizations over the reference [`DenseBackend`]:
+/// Two optimizations over the reference [`DenseBackend`]:
 ///
 /// 1. **CNOT-run specialization** — a compiled [`TapeOp::CnotRun`] (the
 ///    paper's ring entangler) is a basis-state permutation; the whole run
@@ -374,8 +357,6 @@ impl Backend for StateVector {
 ///    [`Backend::apply_cnot`] and diagonal [`TapeOp::Phase`] ops enumerate
 ///    only the `dim/4` indices with the control bit set and the target bit
 ///    clear, instead of scanning and testing all `2^n` indices.
-/// 3. **Fused adjoint stops** — [`Backend::adjoint_rotation_stop`] reads and
-///    writes each amplitude pair of ket and bra exactly once.
 ///
 /// Because these kernels reorder floating-point arithmetic, results match
 /// the dense backend to ~1e-15 per amplitude (property-tested at ≤1e-12),
@@ -571,58 +552,18 @@ impl Backend for FusedDenseBackend {
             TapeOp::Controlled { control, target, m } => {
                 Backend::apply_controlled(self, *control, *target, m)
             }
-            TapeOp::Late { gate, index } => {
-                let theta = *inputs.get(*index).ok_or(QuantumError::InputCountMismatch {
-                    expected: *index + 1,
-                    actual: inputs.len(),
-                })?;
-                gate.apply(self, theta)
-            }
+            TapeOp::Late { gate, index } => gate.apply(self, input_angle(inputs, *index)?),
         }
     }
 
-    fn adjoint_rotation_stop(
-        &mut self,
-        bra: &mut Self,
-        axis: RotationAxis,
-        wire: usize,
-        inv: &[[C64; 2]; 2],
-    ) -> Result<f64> {
+    fn cross_matrix(&self, ket: &Self, wire: usize) -> Result<[[C64; 2]; 2]> {
         self.check_wire(wire)?;
         let stride = 1usize << self.bit_of_wire(wire);
-        let dim = self.dim();
-        let inv = *inv;
-        let ket = self.0.amps_mut();
-        let bra_amps = bra.0.amps_mut();
-        let mut acc = 0.0;
-        let mut base = 0usize;
-        while base < dim {
-            for offset in 0..stride {
-                let i0 = base + offset;
-                let i1 = i0 + stride;
-                let (k0, k1) = (ket[i0], ket[i1]);
-                let (b0, b1) = (bra_amps[i0], bra_amps[i1]);
-                // Generator inner product before the pair is overwritten:
-                // i0 has the wire bit clear, i1 has it set.
-                acc += match axis {
-                    RotationAxis::X => {
-                        (b0.re * k1.im - b0.im * k1.re) + (b1.re * k0.im - b1.im * k0.re)
-                    }
-                    RotationAxis::Y => {
-                        (b1.re * k0.re + b1.im * k0.im) - (b0.re * k1.re + b0.im * k1.im)
-                    }
-                    RotationAxis::Z => {
-                        (b0.re * k0.im - b0.im * k0.re) - (b1.re * k1.im - b1.im * k1.re)
-                    }
-                };
-                ket[i0] = inv[0][0] * k0 + inv[0][1] * k1;
-                ket[i1] = inv[1][0] * k0 + inv[1][1] * k1;
-                bra_amps[i0] = inv[0][0] * b0 + inv[0][1] * b1;
-                bra_amps[i1] = inv[1][0] * b0 + inv[1][1] * b1;
-            }
-            base += stride << 1;
-        }
-        Ok(acc)
+        Ok(cross_matrix_slices(
+            self.0.amplitudes(),
+            ket.0.amplitudes(),
+            stride,
+        ))
     }
 }
 

@@ -14,7 +14,7 @@
 //!   `split_at_mut`, so the innermost loop is pure `a[k]`/`b[k]` indexing
 //!   over equal-length slices (no index arithmetic, no bounds-check
 //!   residue, no branches).
-//! * **Cache-blocked run execution** — [`Backend::execute_tape`] applies a
+//! * **Cache-blocked run execution** — [`Backend::apply_tape_ops`] applies a
 //!   run of consecutive single-qubit tape ops on *distinct* wires (they
 //!   commute) one L1-sized tile at a time: each tile of amplitudes is
 //!   loaded once and every op of the run is applied to it before moving on,
@@ -30,10 +30,9 @@
 
 use crate::backend::Backend;
 use crate::complex::C64;
-use crate::embed::RotationAxis;
 use crate::error::{QuantumError, Result};
 use crate::state::StateVector;
-use crate::tape::{CompiledTape, TapeOp};
+use crate::tape::{input_angle, TapeOp};
 
 /// Amplitudes per cache tile for run execution: 2048 amplitudes are two
 /// 16 KiB planes, so one tile (re + im) fits comfortably in a 32 KiB L1d
@@ -286,51 +285,6 @@ impl SoaDenseBackend {
             t0 += tile;
         }
     }
-
-    /// One fused adjoint rotation-stop pass: per amplitude pair of both
-    /// registers, accumulate `acc_fn(k0, k1, b0, b1)` (the axis-specific
-    /// generator term, components ordered `k0r, k0i, k1r, k1i, b0r, b0i,
-    /// b1r, b1i`), then overwrite both pairs with the pre-inverted rotation.
-    fn adjoint_stop_pass<F>(&mut self, bra: &mut Self, stride: usize, m: &M2, acc_fn: F) -> f64
-    where
-        F: Fn(f64, f64, f64, f64, f64, f64, f64, f64) -> f64,
-    {
-        let dim = 1usize << self.n_qubits;
-        let mut acc = 0.0;
-        let mut base = 0;
-        while base < dim {
-            let i1 = base + stride;
-            let (krl, krh) = self.re.split_at_mut(i1);
-            let (kil, kih) = self.im.split_at_mut(i1);
-            let (brl, brh) = bra.re.split_at_mut(i1);
-            let (bil, bih) = bra.im.split_at_mut(i1);
-            let kr0 = &mut krl[base..];
-            let ki0 = &mut kil[base..];
-            let kr1 = &mut krh[..stride];
-            let ki1 = &mut kih[..stride];
-            let br0 = &mut brl[base..];
-            let bi0 = &mut bil[base..];
-            let br1 = &mut brh[..stride];
-            let bi1 = &mut bih[..stride];
-            for k in 0..stride {
-                let (k0r, k0i) = (kr0[k], ki0[k]);
-                let (k1r, k1i) = (kr1[k], ki1[k]);
-                let (b0r, b0i) = (br0[k], bi0[k]);
-                let (b1r, b1i) = (br1[k], bi1[k]);
-                acc += acc_fn(k0r, k0i, k1r, k1i, b0r, b0i, b1r, b1i);
-                kr0[k] = m.r00 * k0r - m.i00 * k0i + m.r01 * k1r - m.i01 * k1i;
-                ki0[k] = m.r00 * k0i + m.i00 * k0r + m.r01 * k1i + m.i01 * k1r;
-                kr1[k] = m.r10 * k0r - m.i10 * k0i + m.r11 * k1r - m.i11 * k1i;
-                ki1[k] = m.r10 * k0i + m.i10 * k0r + m.r11 * k1i + m.i11 * k1r;
-                br0[k] = m.r00 * b0r - m.i00 * b0i + m.r01 * b1r - m.i01 * b1i;
-                bi0[k] = m.r00 * b0i + m.i00 * b0r + m.r01 * b1i + m.i01 * b1r;
-                br1[k] = m.r10 * b0r - m.i10 * b0i + m.r11 * b1r - m.i11 * b1i;
-                bi1[k] = m.r10 * b0i + m.i10 * b0r + m.r11 * b1i + m.i11 * b1r;
-            }
-            base += stride << 1;
-        }
-        acc
-    }
 }
 
 impl Backend for SoaDenseBackend {
@@ -512,24 +466,11 @@ impl Backend for SoaDenseBackend {
                 Ok(())
             }
             TapeOp::CnotRun(pairs) => self.apply_cnot_run(pairs),
-            TapeOp::Late { gate, index } => {
-                let theta = *inputs.get(*index).ok_or(QuantumError::InputCountMismatch {
-                    expected: *index + 1,
-                    actual: inputs.len(),
-                })?;
-                gate.apply(self, theta)
-            }
+            TapeOp::Late { gate, index } => gate.apply(self, input_angle(inputs, *index)?),
         }
     }
 
-    fn execute_tape(&mut self, tape: &CompiledTape, inputs: &[f64]) -> Result<()> {
-        if inputs.len() < tape.n_inputs() {
-            return Err(QuantumError::InputCountMismatch {
-                expected: tape.n_inputs(),
-                actual: inputs.len(),
-            });
-        }
-        let ops = tape.forward_ops();
+    fn apply_tape_ops(&mut self, ops: &[TapeOp], inputs: &[f64]) -> Result<()> {
         let tile = TILE.min(1usize << self.n_qubits);
         let mut run: Vec<(usize, M2)> = Vec::new();
         let mut i = 0;
@@ -562,37 +503,38 @@ impl Backend for SoaDenseBackend {
         Ok(())
     }
 
-    fn adjoint_rotation_stop(
-        &mut self,
-        bra: &mut Self,
-        axis: RotationAxis,
-        wire: usize,
-        inv: &[[C64; 2]; 2],
-    ) -> Result<f64> {
+    fn cross_matrix(&self, ket: &Self, wire: usize) -> Result<[[C64; 2]; 2]> {
         self.check_wire(wire)?;
+        assert_eq!(self.n_qubits, ket.n_qubits, "dimension mismatch");
         let stride = 1usize << self.bit_of_wire(wire);
-        let m = M2::new(inv);
-        // The axis-specific generator terms (index 0 has the wire bit
-        // clear, index 1 has it set), matching the fused backend's fused
-        // traversal formulas.
-        let acc = match axis {
-            RotationAxis::X => {
-                self.adjoint_stop_pass(bra, stride, &m, |k0r, k0i, k1r, k1i, b0r, b0i, b1r, b1i| {
-                    (b0r * k1i - b0i * k1r) + (b1r * k0i - b1i * k0r)
-                })
+        let dim = 1usize << self.n_qubits;
+        // Accumulate Σ conj(b_a)·k_b per (a, b) as separate re/im lanes.
+        let mut acc = [0.0f64; 8];
+        let mut base = 0;
+        while base < dim {
+            let (lo, hi) = (base..base + stride, base + stride..base + 2 * stride);
+            let (br0, bi0) = (&self.re[lo.clone()], &self.im[lo.clone()]);
+            let (br1, bi1) = (&self.re[hi.clone()], &self.im[hi.clone()]);
+            let (kr0, ki0) = (&ket.re[lo.clone()], &ket.im[lo]);
+            let (kr1, ki1) = (&ket.re[hi.clone()], &ket.im[hi]);
+            for k in 0..stride {
+                // conj(b)·k = (br·kr + bi·ki) + i(br·ki − bi·kr).
+                acc[0] += br0[k] * kr0[k] + bi0[k] * ki0[k];
+                acc[1] += br0[k] * ki0[k] - bi0[k] * kr0[k];
+                acc[2] += br0[k] * kr1[k] + bi0[k] * ki1[k];
+                acc[3] += br0[k] * ki1[k] - bi0[k] * kr1[k];
+                acc[4] += br1[k] * kr0[k] + bi1[k] * ki0[k];
+                acc[5] += br1[k] * ki0[k] - bi1[k] * kr0[k];
+                acc[6] += br1[k] * kr1[k] + bi1[k] * ki1[k];
+                acc[7] += br1[k] * ki1[k] - bi1[k] * kr1[k];
             }
-            RotationAxis::Y => {
-                self.adjoint_stop_pass(bra, stride, &m, |k0r, k0i, k1r, k1i, b0r, b0i, b1r, b1i| {
-                    (b1r * k0r + b1i * k0i) - (b0r * k1r + b0i * k1i)
-                })
-            }
-            RotationAxis::Z => {
-                self.adjoint_stop_pass(bra, stride, &m, |k0r, k0i, k1r, k1i, b0r, b0i, b1r, b1i| {
-                    (b0r * k0i - b0i * k0r) - (b1r * k1i - b1i * k1r)
-                })
-            }
-        };
-        Ok(acc)
+            base += stride << 1;
+        }
+        let c = |r: f64, i: f64| C64 { re: r, im: i };
+        Ok([
+            [c(acc[0], acc[1]), c(acc[2], acc[3])],
+            [c(acc[4], acc[5]), c(acc[6], acc[7])],
+        ])
     }
 }
 
@@ -708,6 +650,21 @@ mod tests {
         let di = dense.inner(&other.to_statevector());
         let si = soa.inner(&other);
         assert!((di.re - si.re).abs() < 1e-13 && (di.im - si.im).abs() < 1e-13);
+
+        // The adjoint cross matrix matches the dense kernel on every wire,
+        // and its trace is the inner product.
+        let mut ket = busy_state(5);
+        ket.apply_single_qubit(2, &ry_matrix(0.9)).unwrap();
+        let soa_ket = SoaDenseBackend::from_statevector(ket.clone());
+        for w in 0..5 {
+            let md = Backend::cross_matrix(&dense, &ket, w).unwrap();
+            let ms = soa.cross_matrix(&soa_ket, w).unwrap();
+            for (a, b) in md.iter().flatten().zip(ms.iter().flatten()) {
+                assert!(a.approx_eq(*b, 1e-13), "wire {w}: {a} vs {b}");
+            }
+            assert!((md[0][0] + md[1][1]).approx_eq(dense.inner(&ket), 1e-13));
+        }
+        assert!(soa.cross_matrix(&soa_ket, 5).is_err());
     }
 
     #[test]

@@ -355,10 +355,9 @@ pub fn ry_matrix(theta: f64) -> [[C64; 2]; 2] {
 
 /// `RZ(θ) = diag(e^{-iθ/2}, e^{iθ/2})`.
 pub fn rz_matrix(theta: f64) -> [[C64; 2]; 2] {
-    [
-        [C64::from_polar(1.0, -theta / 2.0), C64::ZERO],
-        [C64::ZERO, C64::from_polar(1.0, theta / 2.0)],
-    ]
+    // One cos/sin pair for both phases: cos is even and sin is odd.
+    let (c, s) = ((theta / 2.0).cos(), (theta / 2.0).sin());
+    [[C64::new(c, -s), C64::ZERO], [C64::ZERO, C64::new(c, s)]]
 }
 
 #[cfg(test)]

@@ -20,21 +20,34 @@
 //! Two sweeps are provided per readout: the gate-by-gate functions on the
 //! dense [`StateVector`] (the reference oracle the tests compare against),
 //! and the `*_tape` functions that replay a [`CompiledTape`]'s pre-lowered
-//! adjoint program on any [`Backend`] — pre-inverted fused fixed segments,
-//! pre-resolved inverse rotations, and fused single-pass generator inner
-//! products. Batched training compiles once per mini-batch and runs the
-//! tape sweep per row.
+//! adjoint program on any [`Backend`]. The tape sweep works block by block
+//! (see [`crate::tape::AdjointBlock`]): within a run of single-qubit gates,
+//! gates on different wires commute, so the gradient of a rotation on wire
+//! `w` is
+//!
+//! ```text
+//! dE/dθ_k = Im ⟨bra|A_k G_k A_k†|ket⟩ = Im Σ_ab Q_k[a][b]·M_w[a][b],
+//! ```
+//!
+//! with `bra` and `ket` both taken at the block's end, `A_k` the later gates
+//! of `w`'s chain, `Q_k = A_k G_k A_k†` pre-conjugated at compile time, and
+//! `M_w[a][b] = Σ conj(bra[..a..])·ket[..b..]` the wire's 2×2 cross matrix
+//! ([`Backend::cross_matrix`]). One register pass per wire thus yields every
+//! gradient on that wire's chain. The ket comes from snapshots the forward
+//! run keeps at block ends, so the sweep only moves the bra. Batched
+//! training compiles once per mini-batch and runs the tape sweep per row.
 
-use crate::backend::Backend;
+use crate::backend::{matmul2, Backend};
 use crate::circuit::Circuit;
 use crate::complex::C64;
-use crate::embed::RotationAxis;
 use crate::error::{QuantumError, Result};
 use crate::gate::{Gate, Param};
 use crate::grad::CircuitGradients;
 use crate::observable::{probability_diagonal, weighted_z_sum_diagonal};
 use crate::state::StateVector;
-use crate::tape::{AdjointStep, AdjointStop, CompiledTape, TapeOp};
+use crate::tape::{
+    input_angle, AdjointBlock, AdjointStep, AdjointStop, CompiledTape, GradSlot, TapeOp,
+};
 
 /// Vector-Jacobian product of `E = ⟨ψ|diag|ψ⟩` with respect to trainable
 /// parameters and embedded inputs.
@@ -154,8 +167,7 @@ fn expectations_z_diagonal(n: usize, upstream: &[f64]) -> Result<Vec<f64>> {
 }
 
 /// `Im⟨bra|G|ket⟩` via the generic clone + [`Gate::apply_generator`] path —
-/// the fallback for stops outside the fused single-qubit rotation kernel
-/// (controlled rotations).
+/// the per-stop fallback for parametrized controlled rotations.
 fn generator_inner_im<B: Backend>(bra: &B, ket: &B, gate: &Gate) -> Result<f64> {
     let mut d = ket.clone();
     if gate.apply_generator(&mut d)? {
@@ -165,62 +177,92 @@ fn generator_inner_im<B: Backend>(bra: &B, ket: &B, gate: &Gate) -> Result<f64> 
     }
 }
 
-/// The Pauli axis generating `gate`, if it is a single-qubit rotation.
-fn rotation_axis(gate: &Gate) -> Option<RotationAxis> {
-    match gate {
-        Gate::RX(..) => Some(RotationAxis::X),
-        Gate::RY(..) => Some(RotationAxis::Y),
-        Gate::RZ(..) => Some(RotationAxis::Z),
-        _ => None,
-    }
+/// `Im Σ_ab q[a][b]·m[a][b]`: a pre-conjugated generator read against a
+/// wire's cross matrix.
+fn im_trace(q: &[[C64; 2]; 2], m: &[[C64; 2]; 2]) -> f64 {
+    (q[0][0] * m[0][0] + q[0][1] * m[0][1] + q[1][0] * m[1][0] + q[1][1] * m[1][1]).im
 }
 
-/// Fused-kernel ingredients of a single-qubit rotation stop: the generator
-/// axis, the wire, and the inverse 2×2 to un-apply.
-struct RotationStop {
-    axis: RotationAxis,
-    wire: usize,
-    inv: [[C64; 2]; 2],
+/// Moves a cross matrix back through `v` applied to both states on its
+/// wire: `M ← conj(v)·M·vᵀ`.
+fn move_back(m: &[[C64; 2]; 2], v: &[[C64; 2]; 2]) -> [[C64; 2]; 2] {
+    let conj_v = [
+        [v[0][0].conj(), v[0][1].conj()],
+        [v[1][0].conj(), v[1][1].conj()],
+    ];
+    let v_t = [[v[0][0], v[1][0]], [v[0][1], v[1][1]]];
+    matmul2(&matmul2(&conj_v, m), &v_t)
 }
 
-/// Resolves a stop into its [`RotationStop`] when its gate is a
-/// single-qubit rotation. Trainable stops carry the pre-inverted matrix on
-/// the tape; input stops derive it from the late-bound angle. Controlled
-/// rotations return `None` (they take the clone-based fallback).
-fn rotation_stop_parts(stop: &AdjointStop, inputs: &[f64]) -> Result<Option<RotationStop>> {
-    let Some(axis) = rotation_axis(stop.gate()) else {
-        return Ok(None);
-    };
-    match stop {
-        AdjointStop::Train {
-            inv: TapeOp::OneQ { wire, m },
-            ..
-        } => Ok(Some(RotationStop {
-            axis,
-            wire: *wire,
-            inv: *m,
-        })),
-        AdjointStop::Train { .. } => Ok(None),
-        AdjointStop::Input { gate, index } => {
-            let theta = *inputs.get(*index).ok_or(QuantumError::InputCountMismatch {
-                expected: *index + 1,
-                actual: inputs.len(),
-            })?;
-            let (wire, m) = gate
-                .single_qubit_matrix(-theta)
-                .expect("single-qubit rotations have a 2x2 matrix");
-            Ok(Some(RotationStop { axis, wire, inv: m }))
+/// Differentiates one block: reads every rotation of each wire's chain from
+/// the wire's cross matrix of `bra` and `ket` (both at the block's end),
+/// then un-applies every chain's inverse from the bra. `undo` is scratch.
+fn sweep_block<B: Backend>(
+    block: &AdjointBlock,
+    bra: &mut B,
+    ket: &B,
+    inputs: &[f64],
+    grads: &mut CircuitGradients,
+    undo: &mut Vec<TapeOp>,
+) -> Result<()> {
+    undo.clear();
+    let mut parts = block.parts.iter();
+    let mut terms = block.terms.iter();
+    for chain in &block.chains {
+        // Every cross matrix is read before the bra moves.
+        let mut m = if chain.terms > 0 {
+            bra.cross_matrix(ket, chain.wire)?
+        } else {
+            [[C64::ZERO; 2]; 2]
+        };
+        let mut inv = None;
+        for k in 0..chain.parts {
+            let part = parts.next().expect("block parts cover its chains");
+            for t in terms.by_ref().take(part.terms) {
+                let g = im_trace(&t.q, &m);
+                match t.slot {
+                    GradSlot::Param(i) => grads.params[i] += g,
+                    GradSlot::Input(i) => grads.inputs[i] += g,
+                }
+            }
+            let part_inv = match part.input {
+                Some((gate, index)) => {
+                    let (_, r) = gate
+                        .single_qubit_matrix(-input_angle(inputs, index)?)
+                        .expect("input rotations are single-qubit");
+                    matmul2(&r, &part.inv)
+                }
+                None => part.inv,
+            };
+            if k + 1 < chain.parts {
+                m = move_back(&m, &part_inv);
+            }
+            inv = Some(match inv {
+                Some(later) => matmul2(&part_inv, &later),
+                None => part_inv,
+            });
+        }
+        if let Some(m) = inv {
+            undo.push(TapeOp::OneQ {
+                wire: chain.wire,
+                m,
+            });
         }
     }
+    bra.apply_tape_ops(undo, inputs)
 }
 
 /// [`vjp_diagonal`] against a pre-compiled tape, on any [`Backend`]: the
-/// production batched path. The forward run executes the tape, and the
-/// backward sweep replays the tape's pre-lowered adjoint program —
-/// fixed-gate segments between parametrized stops are already inverted and
-/// fused, trainable stops carry pre-resolved inverse matrices, and the
-/// generator inner products for single-qubit rotations run as one fused
-/// pass over the amplitudes.
+/// production batched path.
+///
+/// The forward run executes the tape and keeps a ket snapshot at the end of
+/// every block (and after every controlled-rotation stop); these live only
+/// for this call. The backward sweep then moves only the bra through the
+/// tape's pre-lowered adjoint program: fixed segments are un-applied as
+/// pre-inverted fused ops; each block takes one [`Backend::cross_matrix`]
+/// per differentiated wire, reads all of that wire's gradients from it with
+/// 2×2 algebra, and un-applies each wire's fused chain inverse;
+/// parametrized controlled rotations take a clone-based generator product.
 ///
 /// Compile once per batch ([`crate::Circuit::compile`]) and call this per
 /// row.
@@ -243,35 +285,26 @@ pub fn vjp_diagonal_tape<B: Backend>(
         });
     }
 
-    // Forward pass on the compiled tape.
-    let mut ket: B = tape.execute_on(inputs, initial)?;
-    let mut bra = ket.clone();
+    // Forward pass on the compiled tape; the final register becomes the bra.
+    let (mut bra, mut kets) = tape.execute_with_snapshots::<B>(inputs, initial)?;
     bra.apply_diagonal_real(diag);
 
     let mut grads = CircuitGradients::zeros(tape.n_params(), tape.n_inputs());
+    let mut undo = Vec::new();
 
-    // Backward sweep over the pre-lowered adjoint program.
+    // Backward sweep over the pre-lowered adjoint program; every block and
+    // stop reads the latest snapshot not yet consumed.
     for step in tape.adjoint_steps() {
         match step {
-            AdjointStep::Unapply(ops) => {
-                for op in ops {
-                    ket.apply_tape_op(op, inputs)?;
-                    bra.apply_tape_op(op, inputs)?;
-                }
+            AdjointStep::Unapply(ops) => bra.apply_tape_ops(ops, inputs)?,
+            AdjointStep::Block(block) => {
+                let ket = kets.pop().expect("one snapshot per block");
+                sweep_block(block, &mut bra, &ket, inputs, &mut grads, &mut undo)?;
             }
             AdjointStep::Stop(stop) => {
-                // Single-qubit rotation stops take the backend's fused
-                // kernel: the generator inner product and both
-                // un-applications in one traversal per register.
-                let g = match rotation_stop_parts(stop, inputs)? {
-                    Some(r) => ket.adjoint_rotation_stop(&mut bra, r.axis, r.wire, &r.inv)?,
-                    None => {
-                        let g = generator_inner_im(&bra, &ket, stop.gate())?;
-                        stop.unapply(&mut ket, inputs)?;
-                        stop.unapply(&mut bra, inputs)?;
-                        g
-                    }
-                };
+                let ket = kets.pop().expect("one snapshot per stop");
+                let g = generator_inner_im(&bra, &ket, stop.gate())?;
+                stop.unapply(&mut bra, inputs)?;
                 match *stop {
                     AdjointStop::Train { index, .. } => grads.params[index] += g,
                     AdjointStop::Input { index, .. } => grads.inputs[index] += g,
@@ -319,9 +352,155 @@ pub fn backward_probabilities_tape<B: Backend>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{FusedDenseBackend, SoaDenseBackend};
     use crate::embed::{amplitude_embedding, angle_embedding_gates, RotationAxis};
     use crate::gate::Param;
     use crate::templates::{strongly_entangling_layers, EntangleRange};
+
+    /// Runs the tape sweep on every backend, checks each against the
+    /// gate-by-gate oracle at ≤ 1e-12, and returns the oracle's gradients.
+    fn tape_matches_oracle(
+        c: &Circuit,
+        params: &[f64],
+        inputs: &[f64],
+        upstream: &[f64],
+    ) -> CircuitGradients {
+        fn on<B: Backend>(tape: &CompiledTape, inputs: &[f64], up: &[f64]) -> CircuitGradients {
+            backward_expectations_z_tape::<B>(tape, inputs, None, up).unwrap()
+        }
+        let oracle = backward_expectations_z(c, params, inputs, None, upstream).unwrap();
+        let tape = c.compile(params).unwrap();
+        for (name, g) in [
+            ("dense", on::<StateVector>(&tape, inputs, upstream)),
+            ("fused", on::<FusedDenseBackend>(&tape, inputs, upstream)),
+            ("soa", on::<SoaDenseBackend>(&tape, inputs, upstream)),
+        ] {
+            for (a, b) in oracle.params.iter().zip(&g.params) {
+                assert!((a - b).abs() <= 1e-12, "{name} param: {a} vs {b}");
+            }
+            for (a, b) in oracle.inputs.iter().zip(&g.inputs) {
+                assert!((a - b).abs() <= 1e-12, "{name} input: {a} vs {b}");
+            }
+            assert_eq!(g.params.len(), oracle.params.len(), "{name}");
+            assert_eq!(g.inputs.len(), oracle.inputs.len(), "{name}");
+        }
+        oracle
+    }
+
+    #[test]
+    fn tape_without_parametrized_gates_has_zero_gradients() {
+        let mut c = Circuit::new(3).unwrap();
+        c.h(0).unwrap();
+        c.ry(1, Param::Fixed(0.8)).unwrap();
+        c.cnot(0, 2).unwrap();
+        c.push(Gate::T(2)).unwrap();
+        let g = tape_matches_oracle(&c, &[], &[], &[1.0, -0.5, 0.25]);
+        assert!(g.params.is_empty() && g.inputs.is_empty());
+
+        // Parameters the circuit declares but never differentiates stay 0.
+        let mut c = Circuit::new(2).unwrap();
+        c.rz(0, Param::Train(1)).unwrap();
+        c.cnot(0, 1).unwrap();
+        let g = tape_matches_oracle(&c, &[0.3, 0.7], &[], &[1.0, 1.0]);
+        assert_eq!(g.params[0], 0.0);
+    }
+
+    #[test]
+    fn single_block_without_entangler() {
+        let mut c = Circuit::new(3).unwrap();
+        c.extend(strongly_entangling_layers(3, 1, 0, EntangleRange::Ring).unwrap()[..9].to_vec())
+            .unwrap();
+        c.rx(1, Param::Train(9)).unwrap();
+        let params: Vec<f64> = (0..10).map(|i| 0.3 * i as f64 - 1.1).collect();
+        let tape = c.compile(&params).unwrap();
+        assert!(matches!(tape.adjoint_steps(), [AdjointStep::Block(_)]));
+        tape_matches_oracle(&c, &params, &[], &[0.9, -1.3, 0.4]);
+    }
+
+    #[test]
+    fn parameter_shared_by_two_blocks_accumulates() {
+        let mut c = Circuit::new(2).unwrap();
+        c.ry(0, Param::Train(0)).unwrap();
+        c.rz(1, Param::Train(1)).unwrap();
+        c.cnot(0, 1).unwrap();
+        c.rx(1, Param::Train(0)).unwrap();
+        c.ry(0, Param::Train(0)).unwrap();
+        let g = tape_matches_oracle(&c, &[0.9, -0.4], &[], &[1.0, -0.7]);
+        assert!(
+            g.params[0].abs() > 1e-3,
+            "the shared gradient should not vanish"
+        );
+    }
+
+    #[test]
+    fn fixed_gates_inside_a_trainable_chain() {
+        let mut c = Circuit::new(2).unwrap();
+        c.h(0).unwrap();
+        c.ry(0, Param::Train(0)).unwrap();
+        c.push(Gate::S(0)).unwrap();
+        c.rx(0, Param::Train(1)).unwrap();
+        c.push(Gate::T(0)).unwrap();
+        c.x(0).unwrap();
+        c.rz(0, Param::Train(2)).unwrap();
+        c.h(0).unwrap();
+        c.push(Gate::PauliY(1)).unwrap();
+        c.ry(1, Param::Train(3)).unwrap();
+        c.cnot(1, 0).unwrap();
+        c.push(Gate::S(1)).unwrap();
+        c.rx(1, Param::Train(2)).unwrap();
+        tape_matches_oracle(&c, &[0.4, -1.2, 2.1, 0.6], &[], &[0.8, -1.1]);
+    }
+
+    #[test]
+    fn trainable_controlled_rotations_between_blocks() {
+        for (k, kind) in [
+            Gate::CRX(0, 1, Param::Train(2)),
+            Gate::CRY(1, 2, Param::Train(2)),
+            Gate::CRZ(2, 0, Param::Train(2)),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut c = Circuit::new(3).unwrap();
+            for w in 0..3 {
+                c.h(w).unwrap();
+                c.ry(w, Param::Train(0)).unwrap();
+            }
+            c.push(kind).unwrap();
+            // A fixed phase on the same pair right behind the stop.
+            if let Gate::CRZ(a, b, _) = kind {
+                c.cz(a, b).unwrap();
+            }
+            for w in 0..3 {
+                c.rx(w, Param::Train(1)).unwrap();
+            }
+            let params = [0.7, -0.3, 1.1 + 0.2 * k as f64];
+            let g = tape_matches_oracle(&c, &params, &[], &[1.0, 0.5, -0.8]);
+            assert!(
+                g.params[2].abs() > 1e-6,
+                "{kind:?} gradient should not vanish"
+            );
+        }
+    }
+
+    #[test]
+    fn input_index_bound_twice() {
+        // Input 0 drives two rotations on wire 0 — one chain split into
+        // three parts around them — and one on wire 1, all in one block.
+        let mut c = Circuit::new(2).unwrap();
+        c.h(0).unwrap();
+        c.rz(0, Param::Train(0)).unwrap();
+        c.ry(0, Param::Input(0)).unwrap();
+        c.rz(0, Param::Train(1)).unwrap();
+        c.rx(0, Param::Input(0)).unwrap();
+        c.ry(0, Param::Train(2)).unwrap();
+        c.rx(1, Param::Input(0)).unwrap();
+        c.rz(1, Param::Input(1)).unwrap();
+        c.cnot(0, 1).unwrap();
+        c.ry(1, Param::Input(1)).unwrap();
+        let g = tape_matches_oracle(&c, &[0.3, -0.9, 1.4], &[0.6, -1.3], &[1.0, -0.6]);
+        assert!(g.inputs[0].abs() > 1e-6 && g.inputs[1].abs() > 1e-6);
+    }
 
     /// dE/dθ for E = ⟨Z₀⟩ of RY(θ)|0⟩ is -sin θ.
     #[test]

@@ -6,10 +6,10 @@
 
 use proptest::prelude::*;
 use sqvae_quantum::backend::{Backend, DenseBackend, FusedDenseBackend, SoaDenseBackend};
-use sqvae_quantum::embed::{angle_embedding_gates, RotationAxis};
-use sqvae_quantum::grad::adjoint;
+use sqvae_quantum::embed::{amplitude_embedding, angle_embedding_gates, RotationAxis};
+use sqvae_quantum::grad::{adjoint, CircuitGradients};
 use sqvae_quantum::templates::{strongly_entangling_layers, EntangleRange};
-use sqvae_quantum::{Circuit, CompiledTape, Param};
+use sqvae_quantum::{Circuit, CompiledTape, Param, StateVector};
 
 mod common;
 
@@ -145,6 +145,73 @@ proptest! {
             for (x, y) in eager.amplitudes().iter().zip(s_sv.amplitudes()) {
                 prop_assert!(x.approx_eq(*y, TOL), "soa row amplitude {x} vs {y}");
             }
+        }
+    }
+}
+
+/// One tape adjoint pass on backend `B` for a ⟨Z⟩ or probability readout.
+fn tape_gradients<B: Backend>(
+    tape: &CompiledTape,
+    inputs: &[f64],
+    initial: Option<&StateVector>,
+    upstream: &[f64],
+    probabilities: bool,
+) -> CircuitGradients {
+    let initial = initial.map(|s| B::from_statevector(s.clone()));
+    if probabilities {
+        adjoint::backward_probabilities_tape(tape, inputs, initial.as_ref(), upstream)
+    } else {
+        adjoint::backward_expectations_z_tape(tape, inputs, initial.as_ref(), upstream)
+    }
+    .unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The shapes the paper's models train: strongly-entangling layers
+    /// (1–6, both entangler ranges) on 2–7 qubits, fed by an angle embedding
+    /// (its input rotations open the first block) or an amplitude-embedded
+    /// initial state, read out as ⟨Z⟩ or probabilities. Every backend's
+    /// block-wise tape sweep matches the gate-by-gate oracle.
+    #[test]
+    fn paper_shapes_match_the_oracle_on_every_backend(
+        n in 2usize..8,
+        layers in 1usize..7,
+        flags in 0u8..8,
+        params in proptest::collection::vec(-3.2..3.2f64, 7 * 6 * 3),
+        features in proptest::collection::vec(-1.0..1.0f64, 1 << 7),
+        upstream in proptest::collection::vec(-1.5..1.5f64, 1 << 7),
+    ) {
+        let angle = flags & 1 != 0;
+        let range = if flags & 2 != 0 { EntangleRange::PennyLane } else { EntangleRange::Ring };
+        let probabilities = flags & 4 != 0;
+        let mut c = Circuit::new(n).unwrap();
+        if angle {
+            c.extend(angle_embedding_gates(n, RotationAxis::Y, 0)).unwrap();
+        }
+        c.extend(strongly_entangling_layers(n, layers, 0, range).unwrap()).unwrap();
+        let params = &params[..c.n_params()];
+        let (inputs, initial) = if angle {
+            (&features[..n], None)
+        } else {
+            (&[][..], Some(amplitude_embedding(&features[..1 << n], n).unwrap()))
+        };
+        let upstream = &upstream[..if probabilities { 1 << n } else { n }];
+        let oracle = if probabilities {
+            adjoint::backward_probabilities(&c, params, inputs, initial.as_ref(), upstream)
+        } else {
+            adjoint::backward_expectations_z(&c, params, inputs, initial.as_ref(), upstream)
+        }
+        .unwrap();
+        let tape = c.compile(params).unwrap();
+        for (name, g) in [
+            ("dense", tape_gradients::<DenseBackend>(&tape, inputs, initial.as_ref(), upstream, probabilities)),
+            ("fused", tape_gradients::<FusedDenseBackend>(&tape, inputs, initial.as_ref(), upstream, probabilities)),
+            ("soa", tape_gradients::<SoaDenseBackend>(&tape, inputs, initial.as_ref(), upstream, probabilities)),
+        ] {
+            assert_close(&oracle.params, &g.params, &format!("{name} param gradients ({n}q x {layers}l)"));
+            assert_close(&oracle.inputs, &g.inputs, &format!("{name} input gradients ({n}q x {layers}l)"));
         }
     }
 }
