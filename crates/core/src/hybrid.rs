@@ -116,7 +116,7 @@ impl Module for HybridStack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quantum_layer::{QuantumInput, QuantumLayer, QuantumOutput};
+    use crate::patched::{PatchedQuantumLayer, QuantumInput, QuantumOutput};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sqvae_nn::{Activation, ActivationKind, Linear};
@@ -124,7 +124,8 @@ mod tests {
     fn stack() -> HybridStack {
         let mut rng = StdRng::seed_from_u64(0);
         let mut s = HybridStack::new();
-        s.push_quantum(QuantumLayer::new(
+        s.push_quantum(PatchedQuantumLayer::new(
+            1,
             2,
             1,
             QuantumInput::Amplitude { in_features: 4 },

@@ -45,7 +45,6 @@ mod autoencoder;
 mod hybrid;
 mod latent;
 mod patched;
-mod quantum_layer;
 mod trainer;
 
 pub mod checkpoint;
@@ -56,8 +55,7 @@ pub mod sampling;
 pub use autoencoder::{Autoencoder, ForwardOutput, ParameterCount};
 pub use hybrid::{HybridStack, ParamGroup};
 pub use latent::{GaussianLatent, Latent};
-pub use patched::{patched_latent_dim, PatchedQuantumLayer};
-pub use quantum_layer::{QuantumInput, QuantumLayer, QuantumOutput};
+pub use patched::{patched_latent_dim, PatchedQuantumLayer, QuantumInput, QuantumOutput};
 pub use trainer::{
     AnomalyEvent, AnomalyKind, EpochRecord, History, NanGuard, TrainConfig, Trainer,
 };

@@ -12,16 +12,16 @@
 //! encoder and a full-width FC after the quantum decoder. With the paper's
 //! 64-feature / 6-qubit / 3-layer baseline this accounting reproduces
 //! Table I's quantum counts exactly (108) and its classical counts for the
-//! hybrid variants (4202 / 4286 = 42 + 84·[VAE] + 4160).
+//! hybrid variants (4202 / 4286 = 42 + 84·\[VAE\] + 4160).
 
 use crate::autoencoder::Autoencoder;
 use crate::hybrid::HybridStack;
 use crate::latent::{GaussianLatent, Latent};
-use crate::patched::{patched_latent_dim, PatchedQuantumLayer};
-use crate::quantum_layer::{QuantumInput, QuantumLayer, QuantumOutput};
+use crate::patched::{patched_latent_dim, PatchedQuantumLayer, QuantumInput, QuantumOutput};
 use rand::Rng;
 use sqvae_nn::{Activation, ActivationKind, Linear};
 use sqvae_quantum::embed::qubits_for_features;
+use sqvae_quantum::MAX_QUBITS;
 
 /// Default KL weight for the VAE variants.
 pub const DEFAULT_KL_WEIGHT: f64 = 1.0;
@@ -159,6 +159,50 @@ impl ModelSpec {
             | ModelSpec::SqVae { input_dim, .. } => input_dim,
         }
     }
+
+    /// The factory preconditions [`ModelSpec::build`] would otherwise
+    /// assert: non-empty widths, quantum registers within the simulator's
+    /// [`MAX_QUBITS`], and power-of-two patching with fewer patches than
+    /// features.
+    fn check(&self) -> Result<(), String> {
+        match *self {
+            ModelSpec::ClassicalAe {
+                input_dim,
+                latent_dim,
+            }
+            | ModelSpec::ClassicalVae {
+                input_dim,
+                latent_dim,
+            } => {
+                if input_dim == 0 || latent_dim == 0 {
+                    return Err("widths must be positive".into());
+                }
+            }
+            ModelSpec::FBqAe { input_dim, .. }
+            | ModelSpec::FBqVae { input_dim, .. }
+            | ModelSpec::HBqAe { input_dim, .. }
+            | ModelSpec::HBqVae { input_dim, .. } => {
+                if input_dim == 0 || qubits_for_features(input_dim) > MAX_QUBITS {
+                    return Err(format!(
+                        "amplitude embedding needs between 1 and 2^{MAX_QUBITS} features"
+                    ));
+                }
+            }
+            ModelSpec::SqAe { input_dim, p, .. } | ModelSpec::SqVae { input_dim, p, .. } => {
+                if !(input_dim.is_power_of_two() && p.is_power_of_two() && p < input_dim) {
+                    return Err(
+                        "input width and patch count must be powers of two with fewer patches \
+                         than features"
+                            .into(),
+                    );
+                }
+                if (input_dim / p).trailing_zeros() as usize > MAX_QUBITS {
+                    return Err(format!("patches need more than {MAX_QUBITS} qubits each"));
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 impl std::fmt::Display for ModelSpec {
@@ -205,6 +249,9 @@ impl std::fmt::Display for ModelSpec {
 impl std::str::FromStr for ModelSpec {
     type Err = String;
 
+    /// Parses the textual form, accepting only specs its factory can build:
+    /// a checkpoint whose spec passes here never panics in
+    /// [`ModelSpec::build`].
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let mut it = s.split_whitespace();
         let kind = it.next().ok_or_else(|| "empty model spec".to_string())?;
@@ -224,67 +271,70 @@ impl std::str::FromStr for ModelSpec {
                 ))
             }
         };
-        match kind {
+        let spec = match kind {
             "classical_ae" => {
                 want(2)?;
-                Ok(ModelSpec::ClassicalAe {
+                ModelSpec::ClassicalAe {
                     input_dim: nums[0],
                     latent_dim: nums[1],
-                })
+                }
             }
             "classical_vae" => {
                 want(2)?;
-                Ok(ModelSpec::ClassicalVae {
+                ModelSpec::ClassicalVae {
                     input_dim: nums[0],
                     latent_dim: nums[1],
-                })
+                }
             }
             "f_bq_ae" => {
                 want(2)?;
-                Ok(ModelSpec::FBqAe {
+                ModelSpec::FBqAe {
                     input_dim: nums[0],
                     n_layers: nums[1],
-                })
+                }
             }
             "f_bq_vae" => {
                 want(2)?;
-                Ok(ModelSpec::FBqVae {
+                ModelSpec::FBqVae {
                     input_dim: nums[0],
                     n_layers: nums[1],
-                })
+                }
             }
             "h_bq_ae" => {
                 want(2)?;
-                Ok(ModelSpec::HBqAe {
+                ModelSpec::HBqAe {
                     input_dim: nums[0],
                     n_layers: nums[1],
-                })
+                }
             }
             "h_bq_vae" => {
                 want(2)?;
-                Ok(ModelSpec::HBqVae {
+                ModelSpec::HBqVae {
                     input_dim: nums[0],
                     n_layers: nums[1],
-                })
+                }
             }
             "sq_ae" => {
                 want(3)?;
-                Ok(ModelSpec::SqAe {
+                ModelSpec::SqAe {
                     input_dim: nums[0],
                     p: nums[1],
                     n_layers: nums[2],
-                })
+                }
             }
             "sq_vae" => {
                 want(3)?;
-                Ok(ModelSpec::SqVae {
+                ModelSpec::SqVae {
                     input_dim: nums[0],
                     p: nums[1],
                     n_layers: nums[2],
-                })
+                }
             }
-            other => Err(format!("unknown model kind '{other}'")),
-        }
+            other => return Err(format!("unknown model kind '{other}'")),
+        };
+        spec.check()
+            .map_err(|why| format!("model spec '{s}' cannot be built: {why}"))?;
+        Ok(spec)
     }
 }
 
@@ -363,7 +413,8 @@ fn baseline_quantum_encoder(
 ) -> (HybridStack, usize) {
     let n_qubits = qubits_for_features(input_dim);
     let mut enc = HybridStack::new();
-    enc.push_quantum(QuantumLayer::new(
+    enc.push_quantum(PatchedQuantumLayer::new(
+        1,
         n_qubits,
         n_layers,
         QuantumInput::Amplitude {
@@ -377,7 +428,8 @@ fn baseline_quantum_encoder(
 
 fn baseline_quantum_decoder(n_qubits: usize, n_layers: usize, rng: &mut impl Rng) -> HybridStack {
     let mut dec = HybridStack::new();
-    dec.push_quantum(QuantumLayer::new(
+    dec.push_quantum(PatchedQuantumLayer::new(
+        1,
         n_qubits,
         n_layers,
         QuantumInput::Angle,
@@ -655,5 +707,23 @@ mod tests {
         for bad in ["", "warp_ae 4 2", "sq_vae 4", "sq_vae a b c"] {
             assert!(bad.parse::<ModelSpec>().is_err(), "{bad:?}");
         }
+        // Well-formed text whose factory would panic.
+        for bad in [
+            "classical_ae 0 4",
+            "classical_vae 16 0",
+            "f_bq_ae 0 1",
+            "h_bq_vae 33554432 1",
+            "sq_ae 1000 2 1",
+            "sq_vae 16 3 1",
+            "sq_vae 16 16 1",
+            "sq_ae 16 0 1",
+            "sq_vae 67108864 2 1",
+        ] {
+            let err = bad.parse::<ModelSpec>().unwrap_err();
+            assert!(err.contains("cannot be built"), "{bad}: {err}");
+        }
+        // The largest register the simulator supports still parses.
+        assert!("h_bq_ae 16777216 1".parse::<ModelSpec>().is_ok());
+        assert!("sq_vae 33554432 2 1".parse::<ModelSpec>().is_ok());
     }
 }

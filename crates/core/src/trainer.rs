@@ -25,10 +25,9 @@ pub struct TrainConfig {
     pub quantum_lr: f64,
     /// Learning rate for classical parameters (paper's optimum: 0.01).
     pub classical_lr: f64,
-    /// RNG seed for shuffling and reparametrization noise.
+    /// RNG seed for the per-epoch reshuffle of the training set and the
+    /// reparametrization noise.
     pub seed: u64,
-    /// Whether to reshuffle the training set each epoch.
-    pub shuffle: bool,
     /// Optional global gradient-norm clip applied across both parameter
     /// groups before each optimizer step (guards against the VAE's early
     /// logvar blow-ups on high-dimensional data).
@@ -117,7 +116,6 @@ impl Default for TrainConfig {
             quantum_lr: 0.03,
             classical_lr: 0.01,
             seed: 42,
-            shuffle: true,
             max_grad_norm: None,
             kl_warmup_epochs: 0,
             early_stop_patience: None,
@@ -330,11 +328,7 @@ impl Trainer {
                 let scale = ((epoch + 1) as f64 / self.config.kl_warmup_epochs as f64).min(1.0);
                 model.set_kl_scale(scale);
             }
-            let data = if self.config.shuffle {
-                train.shuffled(self.config.seed.wrapping_add(epoch as u64))
-            } else {
-                train.clone()
-            };
+            let data = train.shuffled(self.config.seed.wrapping_add(epoch as u64));
             let mut epoch_mse = 0.0;
             let mut epoch_kl = 0.0;
             let mut seen = 0usize;

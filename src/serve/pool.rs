@@ -52,15 +52,6 @@ pub fn workers_from_env() -> Threads {
     }
 }
 
-/// Number of pool workers a [`Threads`] policy resolves to.
-fn resolve_pool_size(workers: Threads) -> usize {
-    match workers {
-        Threads::Off => 1,
-        Threads::Fixed(n) => n.max(1),
-        Threads::Auto => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    }
-}
-
 /// Configuration for [`InferenceServer::start`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
@@ -81,7 +72,7 @@ pub struct ServerConfig {
     pub workers: Threads,
     /// Queue depth at which a request's home shard is considered "deep" and
     /// the dispatcher spills the request to the least-loaded worker instead
-    /// (see [`super::dispatch`]). Values `<= 1` spill on any imbalance;
+    /// (see the `dispatch` module). Values `<= 1` spill on any imbalance;
     /// very large values pin requests to their shard.
     pub spill_depth: usize,
 }
@@ -374,7 +365,7 @@ fn run_worker(shared: Arc<Shared>, w: usize, max_batch_rows: usize) {
 /// its own [`BatchEngine`].
 ///
 /// Submissions are bounded pool-wide by [`ServerConfig::capacity`] and
-/// routed by the sharded dispatcher (see [`super::dispatch`]): requests
+/// routed by the sharded dispatcher (see the `dispatch` module): requests
 /// sharing a coalescing key land on the same worker so batching stays
 /// effective, spilling to the least-loaded worker when the home shard's
 /// queue is deep. Each worker steals its own queue at once, coalesces it,
@@ -407,7 +398,8 @@ impl std::fmt::Debug for InferenceServer {
 impl InferenceServer {
     /// Spawns the worker pool and returns the handle clients submit to.
     pub fn start(config: ServerConfig) -> Self {
-        let pool_size = resolve_pool_size(config.workers);
+        // A pool has no row count to cap its size by.
+        let pool_size = config.workers.resolve(usize::MAX);
         let shared = Arc::new(Shared {
             state: Mutex::new(PoolState::new(pool_size)),
             work_cvs: (0..pool_size).map(|_| Condvar::new()).collect(),

@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqvae_core::{
-    models, Autoencoder, BackendKind, ExecPolicy, ParamGroup, QuantumInput, QuantumLayer,
+    models, Autoencoder, BackendKind, ExecPolicy, ParamGroup, PatchedQuantumLayer, QuantumInput,
     QuantumOutput, Threads, TrainConfig, Trainer,
 };
 use sqvae_datasets::Dataset;
@@ -131,7 +131,8 @@ fn tape_reuse_matrix_is_deterministic() {
     for backend in [BackendKind::Dense, BackendKind::Fused, BackendKind::Soa] {
         let run = |threads: Threads| {
             let mut rng = StdRng::seed_from_u64(17);
-            let mut layer = QuantumLayer::new(
+            let mut layer = PatchedQuantumLayer::new(
+                1,
                 3,
                 2,
                 QuantumInput::Angle,

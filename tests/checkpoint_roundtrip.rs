@@ -6,7 +6,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqvae::core::checkpoint::{self, Checkpoint, CheckpointError};
-use sqvae::core::{models, Autoencoder};
+use sqvae::core::models::{self, ModelSpec};
+use sqvae::core::Autoencoder;
 use sqvae::nn::{BackendKind, ExecPolicy, Matrix, Threads};
 
 const DIM: usize = 16;
@@ -32,6 +33,13 @@ fn probe() -> Matrix {
 
 fn bits(m: &Matrix) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// FNV-1a over `bytes`, the digest the checkpoint format itself uses.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 fn checkpoint_bytes(model: &mut Autoencoder) -> Vec<u8> {
@@ -70,6 +78,28 @@ fn every_factory_round_trips_bit_identically_on_all_backends() {
             assert_eq!(bits(&want_s), bits(&got_s), "{name}: sampling round trip");
         }
     }
+}
+
+#[test]
+fn zoo_checkpoint_bytes_are_pinned() {
+    // Freshly built models under the default policy, hashed whole: any
+    // change to a factory's RNG draw order, its parameter list layout or the
+    // file format shows up here as a different digest.
+    let got: Vec<(&str, u64)> = zoo()
+        .into_iter()
+        .map(|(name, mut model)| (name, fnv1a64(&checkpoint_bytes(&mut model))))
+        .collect();
+    let want = [
+        ("classical_ae", 0x6a8d_6402_71f6_889c),
+        ("classical_vae", 0x3021_e99d_71f1_ae47),
+        ("f_bq_ae", 0xdc98_f86e_21f7_da6c),
+        ("f_bq_vae", 0x83fd_b7e2_3a4a_a6cd),
+        ("h_bq_ae", 0x1a30_7914_3f3f_4e8e),
+        ("h_bq_vae", 0x38b5_e915_b631_0e75),
+        ("sq_ae", 0x4e25_01a1_4e20_b3bc),
+        ("sq_vae", 0x5db1_4746_522a_91e6),
+    ];
+    assert_eq!(got, want);
 }
 
 #[test]
@@ -138,14 +168,49 @@ fn corrupt_files_yield_typed_errors() {
     let mut padded = buf[..12].to_vec();
     padded.extend_from_slice(&(padded_body.len() as u64).to_le_bytes());
     padded.extend_from_slice(&padded_body);
-    let digest = padded_body.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    });
+    let digest = fnv1a64(&padded_body);
     padded.extend_from_slice(&digest.to_le_bytes());
     assert!(matches!(
         Checkpoint::read_from(padded.as_slice()),
         Err(CheckpointError::Corrupt(_))
     ));
+}
+
+#[test]
+fn specs_the_factories_reject_are_corrupt_on_read() {
+    // A well-formed file whose spec no factory can build (amplitude widths
+    // that are not powers of two, as many patches as features, a register
+    // past the simulator's limit) must fail on read with a typed error, not
+    // panic later in `build_model`.
+    let mut ckpt = Checkpoint::capture(&mut zoo().remove(7).1, 7).unwrap();
+    for spec in [
+        ModelSpec::SqVae {
+            input_dim: 1000,
+            p: 3,
+            n_layers: 1,
+        },
+        ModelSpec::SqVae {
+            input_dim: 16,
+            p: 16,
+            n_layers: 1,
+        },
+        ModelSpec::HBqAe {
+            input_dim: 1 << 25,
+            n_layers: 1,
+        },
+    ] {
+        let tag = spec.to_string();
+        ckpt.spec = spec;
+        let mut buf = Vec::new();
+        ckpt.write_to(&mut buf).unwrap();
+        match Checkpoint::read_from(buf.as_slice()) {
+            Err(CheckpointError::Corrupt(msg)) => assert!(msg.contains(&tag), "{tag}: {msg}"),
+            other => panic!(
+                "{tag}: expected a corrupt-spec error, got {:?}",
+                other.map(|c| c.spec)
+            ),
+        }
+    }
 }
 
 #[test]
