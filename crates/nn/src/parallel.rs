@@ -10,6 +10,7 @@
 //! is **bit-identical** to the sequential one.
 
 use std::str::FromStr;
+use std::sync::{Mutex, PoisonError};
 
 /// Name of the environment variable read by [`Threads::from_env`].
 pub const THREADS_ENV_VAR: &str = "SQVAE_THREADS";
@@ -30,28 +31,34 @@ pub enum Threads {
 }
 
 impl Threads {
-    /// Reads the policy from the `SQVAE_THREADS` environment variable:
-    /// unset, empty, or `auto` → [`Threads::Auto`]; `0` or `off` →
-    /// [`Threads::Off`]; a positive integer `n` → [`Threads::Fixed`]`(n)`.
-    /// Unparseable values fall back to [`Threads::Auto`] after a one-time
-    /// stderr warning (see [`Threads::from_env_spec`]).
+    /// Reads the policy from the `SQVAE_THREADS` environment variable (see
+    /// [`Threads::from_env_var`]).
     pub fn from_env() -> Self {
-        match std::env::var(THREADS_ENV_VAR) {
-            Ok(v) => Self::from_env_spec(&v),
+        Self::from_env_var(THREADS_ENV_VAR)
+    }
+
+    /// Reads the policy from the environment variable `var`: unset, empty,
+    /// or `auto` → [`Threads::Auto`]; `0` or `off` → [`Threads::Off`]; a
+    /// positive integer `n` → [`Threads::Fixed`]`(n)`. Unparseable values
+    /// fall back to [`Threads::Auto`] after a one-time stderr warning (see
+    /// [`Threads::from_env_spec`]).
+    pub fn from_env_var(var: &str) -> Self {
+        match std::env::var(var) {
+            Ok(v) => Self::from_env_spec(var, &v),
             Err(_) => Threads::Auto,
         }
     }
 
-    /// Parses an environment-supplied spec, falling back to
-    /// [`Threads::Auto`] on an unparseable value — but **warning once** on
-    /// stderr, naming the bad value and the accepted ones, instead of
-    /// silently ignoring a typo like `SQVAE_THREADS=of`.
-    pub fn from_env_spec(raw: &str) -> Self {
+    /// Parses the value `raw` of environment variable `var`, falling back
+    /// to [`Threads::Auto`] on an unparseable value — but **warning once
+    /// per variable** on stderr, naming the variable, the bad value and the
+    /// accepted ones, instead of silently ignoring a typo like
+    /// `SQVAE_THREADS=of`.
+    pub fn from_env_spec(var: &str, raw: &str) -> Self {
         raw.parse().unwrap_or_else(|err| {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                eprintln!("warning: {THREADS_ENV_VAR}: {err}; falling back to 'auto'");
-            });
+            if first_warning(var) {
+                eprintln!("warning: {var}: {err}; falling back to 'auto'");
+            }
             Threads::Auto
         })
     }
@@ -65,6 +72,18 @@ impl Threads {
         };
         cap.min(n_rows.max(1))
     }
+}
+
+/// Whether this is the first fallback warning for environment variable
+/// `var` in this process.
+fn first_warning(var: &str) -> bool {
+    static WARNED: Mutex<Vec<String>> = Mutex::new(Vec::new());
+    let mut warned = WARNED.lock().unwrap_or_else(PoisonError::into_inner);
+    if warned.iter().any(|w| w == var) {
+        return false;
+    }
+    warned.push(var.to_owned());
+    true
 }
 
 impl FromStr for Threads {
@@ -218,9 +237,20 @@ mod tests {
     #[test]
     fn env_spec_typo_falls_back_to_auto() {
         // The warning is emitted once on stderr; the value still resolves.
-        assert_eq!(Threads::from_env_spec("of"), Threads::Auto);
-        assert_eq!(Threads::from_env_spec("3"), Threads::Fixed(3));
-        assert_eq!(Threads::from_env_spec("off"), Threads::Off);
+        assert_eq!(Threads::from_env_spec(THREADS_ENV_VAR, "of"), Threads::Auto);
+        assert_eq!(
+            Threads::from_env_spec(THREADS_ENV_VAR, "3"),
+            Threads::Fixed(3)
+        );
+        assert_eq!(Threads::from_env_spec(THREADS_ENV_VAR, "off"), Threads::Off);
+    }
+
+    #[test]
+    fn each_variable_warns_once() {
+        assert!(first_warning("SQVAE_TEST_WARN_A"));
+        assert!(!first_warning("SQVAE_TEST_WARN_A"));
+        assert!(first_warning("SQVAE_TEST_WARN_B"));
+        assert!(!first_warning("SQVAE_TEST_WARN_B"));
     }
 
     #[test]

@@ -285,6 +285,32 @@ impl SoaDenseBackend {
             t0 += tile;
         }
     }
+
+    /// Applies the single-qubit matrix `m` to `wire`.
+    fn apply_single_qubit(&mut self, wire: usize, m: &[[C64; 2]; 2]) -> Result<()> {
+        self.check_wire(wire)?;
+        let stride = 1usize << self.bit_of_wire(wire);
+        let m = M2::new(m);
+        let dim = 1usize << self.n_qubits;
+        let mut base = 0;
+        while base < dim {
+            pair_block(&mut self.re, &mut self.im, base, base + stride, stride, &m);
+            base += stride << 1;
+        }
+        Ok(())
+    }
+
+    /// Applies `m` to `target` within the half-space where `control` is set.
+    fn apply_controlled(&mut self, control: usize, target: usize, m: &[[C64; 2]; 2]) -> Result<()> {
+        self.check_controlled(control, target)?;
+        let cbit = self.bit_of_wire(control);
+        let tbit = self.bit_of_wire(target);
+        let m = M2::new(m);
+        self.for_each_controlled_block(cbit, tbit, |re, im, i0, i1, len| {
+            pair_block(re, im, i0, i1, len, &m);
+        });
+        Ok(())
+    }
 }
 
 impl Backend for SoaDenseBackend {
@@ -328,50 +354,8 @@ impl Backend for SoaDenseBackend {
         sv
     }
 
-    fn into_statevector(self) -> StateVector {
-        self.to_statevector()
-    }
-
-    fn reset(&mut self) {
-        self.re.fill(0.0);
-        self.im.fill(0.0);
-        self.re[0] = 1.0;
-    }
-
     fn n_qubits(&self) -> usize {
         self.n_qubits
-    }
-
-    fn apply_single_qubit(&mut self, wire: usize, m: &[[C64; 2]; 2]) -> Result<()> {
-        self.check_wire(wire)?;
-        let stride = 1usize << self.bit_of_wire(wire);
-        let m = M2::new(m);
-        let dim = 1usize << self.n_qubits;
-        let mut base = 0;
-        while base < dim {
-            pair_block(&mut self.re, &mut self.im, base, base + stride, stride, &m);
-            base += stride << 1;
-        }
-        Ok(())
-    }
-
-    fn apply_controlled(&mut self, control: usize, target: usize, m: &[[C64; 2]; 2]) -> Result<()> {
-        self.check_controlled(control, target)?;
-        let cbit = self.bit_of_wire(control);
-        let tbit = self.bit_of_wire(target);
-        let m = M2::new(m);
-        self.for_each_controlled_block(cbit, tbit, |re, im, i0, i1, len| {
-            pair_block(re, im, i0, i1, len, &m);
-        });
-        Ok(())
-    }
-
-    fn apply_cnot(&mut self, control: usize, target: usize) -> Result<()> {
-        self.check_controlled(control, target)?;
-        let cbit = self.bit_of_wire(control);
-        let tbit = self.bit_of_wire(target);
-        self.for_each_controlled_block(cbit, tbit, swap_block);
-        Ok(())
     }
 
     fn apply_diagonal_real(&mut self, d: &[f64]) {
@@ -407,23 +391,6 @@ impl Backend for SoaDenseBackend {
         Ok(acc)
     }
 
-    fn expectation_diagonal(&self, d: &[f64]) -> f64 {
-        assert_eq!(d.len(), self.re.len(), "diagonal length mismatch");
-        let mut acc = 0.0;
-        for ((r, i), dk) in self.re.iter().zip(self.im.iter()).zip(d) {
-            acc += (r * r + i * i) * dk;
-        }
-        acc
-    }
-
-    fn probabilities(&self) -> Vec<f64> {
-        self.re
-            .iter()
-            .zip(self.im.iter())
-            .map(|(r, i)| r * r + i * i)
-            .collect()
-    }
-
     fn probabilities_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.extend(
@@ -451,7 +418,7 @@ impl Backend for SoaDenseBackend {
         match op {
             TapeOp::OneQ { wire, m } => self.apply_single_qubit(*wire, m),
             TapeOp::Controlled { control, target, m } => {
-                Backend::apply_controlled(self, *control, *target, m)
+                self.apply_controlled(*control, *target, m)
             }
             // Controlled diagonal phases touch two amplitudes per pair with
             // one complex scalar each — no 2×2 matmul needed.
@@ -466,7 +433,9 @@ impl Backend for SoaDenseBackend {
                 Ok(())
             }
             TapeOp::CnotRun(pairs) => self.apply_cnot_run(pairs),
-            TapeOp::Late { gate, index } => gate.apply(self, input_angle(inputs, *index)?),
+            TapeOp::Late { gate, index } => {
+                self.apply_tape_op(&gate.tape_op(input_angle(inputs, *index)?), inputs)
+            }
         }
     }
 
@@ -541,6 +510,7 @@ impl Backend for SoaDenseBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::tests::{cnot, controlled};
     use crate::gate::{hadamard, pauli_x, ry_matrix, rz_matrix};
 
     fn assert_states_close(a: &StateVector, b: &StateVector, tol: f64) {
@@ -568,7 +538,6 @@ mod tests {
         let dense = busy_state(4);
         let soa = SoaDenseBackend::from_statevector(dense.clone());
         assert_eq!(soa.to_statevector(), dense);
-        assert_eq!(soa.clone().into_statevector(), dense);
     }
 
     #[test]
@@ -579,7 +548,8 @@ mod tests {
                 let mut soa = SoaDenseBackend::from_statevector(dense.clone());
                 let m = ry_matrix(0.7 + w as f64);
                 dense.apply_single_qubit(w, &m).unwrap();
-                Backend::apply_single_qubit(&mut soa, w, &m).unwrap();
+                soa.apply_tape_op(&TapeOp::OneQ { wire: w, m }, &[])
+                    .unwrap();
                 assert_states_close(&dense, &soa.to_statevector(), 1e-14);
             }
         }
@@ -597,13 +567,13 @@ mod tests {
                     let mut dense = busy_state(n);
                     let mut soa = SoaDenseBackend::from_statevector(dense.clone());
                     dense.apply_controlled(c, t, &m).unwrap();
-                    Backend::apply_controlled(&mut soa, c, t, &m).unwrap();
+                    soa.apply_tape_op(&controlled(c, t, m), &[]).unwrap();
                     assert_states_close(&dense, &soa.to_statevector(), 1e-14);
 
                     let mut dense2 = busy_state(n);
                     let mut soa2 = SoaDenseBackend::from_statevector(dense2.clone());
                     dense2.apply_cnot(c, t).unwrap();
-                    Backend::apply_cnot(&mut soa2, c, t).unwrap();
+                    soa2.apply_tape_op(&cnot(c, t), &[]).unwrap();
                     // A CNOT only moves amplitudes: exact match.
                     assert_eq!(dense2, soa2.to_statevector());
                 }
@@ -636,8 +606,6 @@ mod tests {
             let b = Backend::expectation_z(&soa, w).unwrap();
             assert!((a - b).abs() < 1e-13, "wire {w}: {a} vs {b}");
         }
-        let d: Vec<f64> = (0..dense.dim()).map(|i| 0.1 * i as f64 - 0.4).collect();
-        assert!((dense.expectation_diagonal(&d) - soa.expectation_diagonal(&d)).abs() < 1e-13);
         let pd = dense.probabilities();
         let ps = soa.probabilities();
         let mut reused = vec![0.0; 3]; // wrong size on purpose: must be replaced
@@ -678,9 +646,8 @@ mod tests {
     }
 
     #[test]
-    fn reset_and_zero_state() {
-        let mut soa = SoaDenseBackend::from_statevector(busy_state(3));
-        soa.reset();
+    fn zero_state_and_name() {
+        let soa = SoaDenseBackend::from_statevector(StateVector::zero_state(3).unwrap());
         assert_eq!(soa, SoaDenseBackend::zero_state(3).unwrap());
         assert!(SoaDenseBackend::zero_state(0).is_err());
         assert_eq!(SoaDenseBackend::NAME, "soa");
@@ -689,10 +656,14 @@ mod tests {
     #[test]
     fn kernel_errors_surface_through_the_trait() {
         let mut s = SoaDenseBackend::zero_state(2).unwrap();
-        assert!(Backend::apply_single_qubit(&mut s, 5, &pauli_x()).is_err());
-        assert!(Backend::apply_cnot(&mut s, 0, 0).is_err());
-        assert!(Backend::apply_cnot(&mut s, 0, 5).is_err());
-        assert!(Backend::apply_controlled(&mut s, 3, 0, &pauli_x()).is_err());
+        let x = TapeOp::OneQ {
+            wire: 5,
+            m: pauli_x(),
+        };
+        assert!(s.apply_tape_op(&x, &[]).is_err());
+        assert!(s.apply_tape_op(&cnot(0, 0), &[]).is_err());
+        assert!(s.apply_tape_op(&cnot(0, 5), &[]).is_err());
+        assert!(s.apply_tape_op(&controlled(3, 0, pauli_x()), &[]).is_err());
         assert!(s.apply_cnot_run(&[(0, 1), (1, 1)]).is_err());
     }
 
@@ -717,7 +688,7 @@ mod tests {
         let tape = c.compile(&params).unwrap();
 
         let mut tiled = SoaDenseBackend::zero_state(n).unwrap();
-        tiled.execute_tape(&tape, &[]).unwrap();
+        tiled.apply_tape_ops(tape.forward_ops(), &[]).unwrap();
 
         // The untiled reference: every op through apply_tape_op directly.
         let mut untiled = SoaDenseBackend::zero_state(n).unwrap();

@@ -225,27 +225,6 @@ impl Circuit {
         Ok(())
     }
 
-    /// Produces the register execution starts from: a dimension-checked
-    /// clone of `initial`, or `|0…0⟩`. Centralized so every executor (runs,
-    /// parameter shifts, adjoint sweeps) validates embedded states the same
-    /// way and returns the same typed error on a width mismatch.
-    pub(crate) fn start_state<B: Backend>(&self, initial: Option<&B>) -> Result<B> {
-        match initial {
-            Some(s) => {
-                if s.n_qubits() != self.n_qubits {
-                    return Err(QuantumError::DimensionMismatch {
-                        expected: 1 << self.n_qubits,
-                        actual: s.dim(),
-                    });
-                }
-                Ok(s.clone())
-            }
-            // The register size was validated at construction; this cannot
-            // fail, but stays a typed error rather than a panic path.
-            None => B::zero_state(self.n_qubits),
-        }
-    }
-
     /// Lowers the circuit against one trainable-parameter vector into a
     /// [`CompiledTape`]: rotation matrices resolve and fuse, CNOT runs
     /// collapse into permutations, controlled phases become diagonal ops,

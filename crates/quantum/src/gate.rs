@@ -8,6 +8,8 @@
 use crate::backend::Backend;
 use crate::complex::C64;
 use crate::error::{QuantumError, Result};
+use crate::state::StateVector;
+use crate::tape::TapeOp;
 
 /// Where a gate angle comes from when the circuit is executed.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -164,36 +166,55 @@ impl Gate {
         }
     }
 
+    /// The tape op that applies the gate with `theta` as the resolved angle
+    /// (ignored for non-parametrized gates): single-qubit gates become
+    /// [`TapeOp::OneQ`], controlled rotations and `CZ` a
+    /// [`TapeOp::Controlled`] with the gate's 2×2 matrix, and `CNOT`/`SWAP`
+    /// a [`TapeOp::CnotRun`].
+    pub(crate) fn tape_op(&self, theta: f64) -> TapeOp {
+        if let Some((wire, m)) = self.single_qubit_matrix(theta) {
+            return TapeOp::OneQ { wire, m };
+        }
+        let controlled = |control, target, m| TapeOp::Controlled { control, target, m };
+        match *self {
+            Gate::CRX(c, t, _) => controlled(c, t, rx_matrix(theta)),
+            Gate::CRY(c, t, _) => controlled(c, t, ry_matrix(theta)),
+            Gate::CRZ(c, t, _) => controlled(c, t, rz_matrix(theta)),
+            Gate::CZ(c, t) => controlled(c, t, pauli_z()),
+            Gate::CNOT(c, t) => TapeOp::CnotRun(vec![(c, t)]),
+            // SWAP = CNOT(a,b)·CNOT(b,a)·CNOT(a,b).
+            Gate::SWAP(a, b) => TapeOp::CnotRun(vec![(a, b), (b, a), (a, b)]),
+            _ => unreachable!("every other gate has a single-qubit matrix"),
+        }
+    }
+
+    /// The tape op that un-applies the gate (see [`Gate::tape_op`]).
+    pub(crate) fn inverse_tape_op(&self, theta: f64) -> TapeOp {
+        match *self {
+            // Fixed phase gates invert by conjugating the phase.
+            Gate::S(wire) => TapeOp::OneQ {
+                wire,
+                m: s_dagger_matrix(),
+            },
+            Gate::T(wire) => TapeOp::OneQ {
+                wire,
+                m: t_dagger_matrix(),
+            },
+            // Rotations invert by negating the angle; every other gate is
+            // self-inverse (a SWAP's three CNOTs read the same reversed).
+            _ => self.tape_op(-theta),
+        }
+    }
+
     /// Applies the gate to `state` with `theta` as the resolved angle (ignored
-    /// for non-parametrized gates). Generic over the simulator [`Backend`];
-    /// plain [`crate::StateVector`] registers use the dense reference kernels.
+    /// for non-parametrized gates), on the dense reference register: the
+    /// gate-by-gate oracles' executor.
     ///
     /// # Errors
     ///
     /// Propagates wire-validation errors from the state kernels.
-    pub fn apply<B: Backend>(&self, state: &mut B, theta: f64) -> Result<()> {
-        match *self {
-            Gate::PauliX(w) => state.apply_single_qubit(w, &pauli_x()),
-            Gate::PauliY(w) => state.apply_single_qubit(w, &pauli_y()),
-            Gate::PauliZ(w) => state.apply_single_qubit(w, &pauli_z()),
-            Gate::Hadamard(w) => state.apply_single_qubit(w, &hadamard()),
-            Gate::S(w) => state.apply_single_qubit(w, &s_matrix()),
-            Gate::T(w) => state.apply_single_qubit(w, &t_matrix()),
-            Gate::RX(w, _) => state.apply_single_qubit(w, &rx_matrix(theta)),
-            Gate::RY(w, _) => state.apply_single_qubit(w, &ry_matrix(theta)),
-            Gate::RZ(w, _) => state.apply_single_qubit(w, &rz_matrix(theta)),
-            Gate::CRX(c, t, _) => state.apply_controlled(c, t, &rx_matrix(theta)),
-            Gate::CRY(c, t, _) => state.apply_controlled(c, t, &ry_matrix(theta)),
-            Gate::CRZ(c, t, _) => state.apply_controlled(c, t, &rz_matrix(theta)),
-            Gate::CNOT(c, t) => state.apply_cnot(c, t),
-            Gate::CZ(c, t) => state.apply_controlled(c, t, &pauli_z()),
-            Gate::SWAP(a, b) => {
-                // SWAP = CNOT(a,b)·CNOT(b,a)·CNOT(a,b).
-                state.apply_cnot(a, b)?;
-                state.apply_cnot(b, a)?;
-                state.apply_cnot(a, b)
-            }
-        }
+    pub fn apply(&self, state: &mut StateVector, theta: f64) -> Result<()> {
+        state.apply_tape_op(&self.tape_op(theta), &[])
     }
 
     /// Applies the inverse (adjoint) of the gate.
@@ -201,27 +222,8 @@ impl Gate {
     /// # Errors
     ///
     /// Propagates wire-validation errors from the state kernels.
-    pub fn apply_inverse<B: Backend>(&self, state: &mut B, theta: f64) -> Result<()> {
-        match *self {
-            // Self-inverse gates.
-            Gate::PauliX(_)
-            | Gate::PauliY(_)
-            | Gate::PauliZ(_)
-            | Gate::Hadamard(_)
-            | Gate::CNOT(..)
-            | Gate::CZ(..)
-            | Gate::SWAP(..) => self.apply(state, theta),
-            // Fixed phase gates invert by conjugating the phase.
-            Gate::S(w) => state.apply_single_qubit(w, &s_dagger_matrix()),
-            Gate::T(w) => state.apply_single_qubit(w, &t_dagger_matrix()),
-            // Rotations invert by negating the angle.
-            Gate::RX(..)
-            | Gate::RY(..)
-            | Gate::RZ(..)
-            | Gate::CRX(..)
-            | Gate::CRY(..)
-            | Gate::CRZ(..) => self.apply(state, -theta),
-        }
+    pub fn apply_inverse(&self, state: &mut StateVector, theta: f64) -> Result<()> {
+        state.apply_tape_op(&self.inverse_tape_op(theta), &[])
     }
 
     /// Applies the gate's generator `G` (from `U(θ) = exp(-iθG/2)`) to
@@ -233,19 +235,11 @@ impl Gate {
     /// Propagates wire-validation errors. Returns `Ok(false)` (leaving the
     /// state untouched) for non-parametrized gates.
     pub fn apply_generator<B: Backend>(&self, state: &mut B) -> Result<bool> {
+        let pauli = |wire, m| TapeOp::OneQ { wire, m };
         match *self {
-            Gate::RX(w, _) => {
-                state.apply_single_qubit(w, &pauli_x())?;
-                Ok(true)
-            }
-            Gate::RY(w, _) => {
-                state.apply_single_qubit(w, &pauli_y())?;
-                Ok(true)
-            }
-            Gate::RZ(w, _) => {
-                state.apply_single_qubit(w, &pauli_z())?;
-                Ok(true)
-            }
+            Gate::RX(w, _) => state.apply_tape_op(&pauli(w, pauli_x()), &[])?,
+            Gate::RY(w, _) => state.apply_tape_op(&pauli(w, pauli_y()), &[])?,
+            Gate::RZ(w, _) => state.apply_tape_op(&pauli(w, pauli_z()), &[])?,
             Gate::CRZ(c, t, _) => {
                 // Generator is |1⟩⟨1|_c ⊗ Z_t: zero out control-clear
                 // amplitudes and apply Z on the target within the
@@ -262,28 +256,32 @@ impl Gate {
                     }
                 }
                 state.apply_diagonal_real(&d);
-                Ok(true)
             }
             Gate::CRX(c, t, _) | Gate::CRY(c, t, _) => {
                 // Generator |1⟩⟨1|_c ⊗ P_t: apply the Pauli on the target
                 // within the control-set subspace, then project out the
                 // control-clear subspace.
-                let pauli = if matches!(self, Gate::CRX(..)) {
+                let m = if matches!(self, Gate::CRX(..)) {
                     pauli_x()
                 } else {
                     pauli_y()
                 };
-                state.apply_controlled(c, t, &pauli)?;
+                let op = TapeOp::Controlled {
+                    control: c,
+                    target: t,
+                    m,
+                };
+                state.apply_tape_op(&op, &[])?;
                 let cmask = 1usize << state.bit_of_wire(c);
                 let dim = state.dim();
                 let d: Vec<f64> = (0..dim)
                     .map(|i| if i & cmask != 0 { 1.0 } else { 0.0 })
                     .collect();
                 state.apply_diagonal_real(&d);
-                Ok(true)
             }
-            _ => Ok(false),
+            _ => return Ok(false),
         }
+        Ok(true)
     }
 }
 
@@ -363,7 +361,6 @@ pub fn rz_matrix(theta: f64) -> [[C64; 2]; 2] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::StateVector;
     use std::f64::consts::PI;
 
     fn fresh(n: usize) -> StateVector {

@@ -17,10 +17,10 @@
 //! *upstream-weighted* diagonal yields `dL/dθ` and `dL/dx` directly — the
 //! quantum layer's `backward()`.
 //!
-//! Two sweeps are provided per readout: the gate-by-gate functions on the
-//! dense [`StateVector`] (the reference oracle the tests compare against),
-//! and the `*_tape` functions that replay a [`CompiledTape`]'s pre-lowered
-//! adjoint program on any [`Backend`]. The tape sweep works block by block
+//! Two sweeps are provided per readout: the gate-by-gate functions, which
+//! run on the dense [`StateVector`] only (the reference oracle the tests
+//! compare every backend against), and the `*_tape` functions that replay a
+//! [`CompiledTape`]'s pre-lowered adjoint program on any [`Backend`]. The tape sweep works block by block
 //! (see [`crate::tape::AdjointBlock`]): within a run of single-qubit gates,
 //! gates on different wires commute, so the gradient of a rotation on wire
 //! `w` is
@@ -46,7 +46,8 @@ use crate::grad::CircuitGradients;
 use crate::observable::{probability_diagonal, weighted_z_sum_diagonal};
 use crate::state::StateVector;
 use crate::tape::{
-    input_angle, AdjointBlock, AdjointStep, AdjointStop, CompiledTape, GradSlot, TapeOp,
+    input_angle, start_state, AdjointBlock, AdjointStep, AdjointStop, CompiledTape, GradSlot,
+    TapeOp,
 };
 
 /// Vector-Jacobian product of `E = ⟨ψ|diag|ψ⟩` with respect to trainable
@@ -84,7 +85,7 @@ pub fn vjp_diagonal(
 
     // Forward pass, deliberately gate by gate (not the compiled tape) so
     // this function stays a tape-independent oracle.
-    let mut ket: StateVector = circuit.start_state(initial)?;
+    let mut ket: StateVector = start_state(circuit.n_qubits(), initial)?;
     for gate in circuit.ops() {
         gate.apply(&mut ket, resolve(gate))?;
     }

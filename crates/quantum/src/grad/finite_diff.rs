@@ -1,49 +1,14 @@
 //! Central finite differences — the numerical oracle used to validate the
 //! analytic engines in tests. Not intended for training (O(2·n_params)
-//! executions and truncation error).
+//! executions and truncation error). Every execution runs on the dense
+//! [`StateVector`].
 
-use crate::backend::Backend;
 use crate::circuit::Circuit;
 use crate::error::Result;
 use crate::state::StateVector;
 
 /// Default step size balancing truncation and round-off error.
 pub const DEFAULT_EPS: f64 = 1e-6;
-
-/// [`jacobian_params`] generalized over the simulator [`Backend`].
-///
-/// # Errors
-///
-/// Returns circuit-execution errors.
-pub fn jacobian_params_on<B, F>(
-    circuit: &Circuit,
-    params: &[f64],
-    inputs: &[f64],
-    initial: Option<&B>,
-    eps: f64,
-    measure: F,
-) -> Result<Vec<Vec<f64>>>
-where
-    B: Backend,
-    F: Fn(&B) -> Vec<f64>,
-{
-    let mut work = params.to_vec();
-    let mut jac = Vec::with_capacity(circuit.n_params());
-    for k in 0..circuit.n_params() {
-        work[k] = params[k] + eps;
-        let plus = measure(&circuit.run_on(&work, inputs, initial)?);
-        work[k] = params[k] - eps;
-        let minus = measure(&circuit.run_on(&work, inputs, initial)?);
-        work[k] = params[k];
-        jac.push(
-            plus.iter()
-                .zip(&minus)
-                .map(|(p, m)| (p - m) / (2.0 * eps))
-                .collect(),
-        );
-    }
-    Ok(jac)
-}
 
 /// Jacobian of `measure` with respect to trainable parameters, via central
 /// differences with step `eps` on the dense reference backend. Returns
@@ -63,34 +28,14 @@ pub fn jacobian_params<F>(
 where
     F: Fn(&StateVector) -> Vec<f64>,
 {
-    jacobian_params_on(circuit, params, inputs, initial, eps, measure)
-}
-
-/// [`jacobian_inputs`] generalized over the simulator [`Backend`].
-///
-/// # Errors
-///
-/// Returns circuit-execution errors.
-pub fn jacobian_inputs_on<B, F>(
-    circuit: &Circuit,
-    params: &[f64],
-    inputs: &[f64],
-    initial: Option<&B>,
-    eps: f64,
-    measure: F,
-) -> Result<Vec<Vec<f64>>>
-where
-    B: Backend,
-    F: Fn(&B) -> Vec<f64>,
-{
-    let mut work = inputs.to_vec();
-    let mut jac = Vec::with_capacity(circuit.n_inputs());
-    for k in 0..circuit.n_inputs() {
-        work[k] = inputs[k] + eps;
-        let plus = measure(&circuit.run_on(params, &work, initial)?);
-        work[k] = inputs[k] - eps;
-        let minus = measure(&circuit.run_on(params, &work, initial)?);
-        work[k] = inputs[k];
+    let mut work = params.to_vec();
+    let mut jac = Vec::with_capacity(circuit.n_params());
+    for k in 0..circuit.n_params() {
+        work[k] = params[k] + eps;
+        let plus = measure(&circuit.run(&work, inputs, initial)?);
+        work[k] = params[k] - eps;
+        let minus = measure(&circuit.run(&work, inputs, initial)?);
+        work[k] = params[k];
         jac.push(
             plus.iter()
                 .zip(&minus)
@@ -118,7 +63,22 @@ pub fn jacobian_inputs<F>(
 where
     F: Fn(&StateVector) -> Vec<f64>,
 {
-    jacobian_inputs_on(circuit, params, inputs, initial, eps, measure)
+    let mut work = inputs.to_vec();
+    let mut jac = Vec::with_capacity(circuit.n_inputs());
+    for k in 0..circuit.n_inputs() {
+        work[k] = inputs[k] + eps;
+        let plus = measure(&circuit.run(params, &work, initial)?);
+        work[k] = inputs[k] - eps;
+        let minus = measure(&circuit.run(params, &work, initial)?);
+        work[k] = inputs[k];
+        jac.push(
+            plus.iter()
+                .zip(&minus)
+                .map(|(p, m)| (p - m) / (2.0 * eps))
+                .collect(),
+        );
+    }
+    Ok(jac)
 }
 
 #[cfg(test)]

@@ -12,7 +12,10 @@
 //! * [`finite_diff`] — central differences, used only as a test oracle.
 //!
 //! All three agree to high precision; the test suites of each module and the
-//! crate-level property tests cross-validate them.
+//! crate-level property tests cross-validate them. The oracles — the
+//! gate-by-gate adjoint sweep, parameter shift and finite differences — run
+//! on the dense [`crate::StateVector`] only; the adjoint `*_tape` sweeps run
+//! on any [`crate::Backend`].
 
 pub mod adjoint;
 pub mod finite_diff;

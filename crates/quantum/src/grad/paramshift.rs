@@ -16,13 +16,17 @@
 //! so it is slower than [`crate::grad::adjoint`] but matches what quantum
 //! hardware can evaluate; the paper's training relies on exactly this rule on
 //! the PennyLane simulator.
+//!
+//! Every shifted execution runs gate by gate on the dense [`StateVector`]
+//! (never a compiled tape or another backend), so these Jacobians are an
+//! oracle independent of the tape pipeline.
 
-use crate::backend::Backend;
 use crate::circuit::Circuit;
 use crate::error::Result;
 use crate::gate::Param;
 use crate::grad::CircuitGradients;
 use crate::state::StateVector;
+use crate::tape::start_state;
 use std::f64::consts::FRAC_PI_2;
 
 /// Jacobian pair `(jac_params, jac_inputs)` with `jac[p][o] = ∂out_o/∂θ_p`.
@@ -32,20 +36,19 @@ pub type JacobianPair = (Vec<Vec<f64>>, Vec<Vec<f64>>);
 const FOUR_TERM_C_PLUS: f64 = (std::f64::consts::SQRT_2 + 1.0) / (4.0 * std::f64::consts::SQRT_2);
 const FOUR_TERM_C_MINUS: f64 = (std::f64::consts::SQRT_2 - 1.0) / (4.0 * std::f64::consts::SQRT_2);
 
-/// Executes `circuit` with gate `gate_idx`'s angle replaced by
-/// `override_theta`. The starting register goes through
-/// `Circuit::start_state`, so a mismatched `initial` width is a typed
-/// dimension error here exactly as it is in `Circuit::run_on`.
-fn run_with_override<B: Backend>(
+/// Executes `circuit` gate by gate with gate `gate_idx`'s angle replaced by
+/// `override_theta`. A mismatched `initial` width is the same typed
+/// dimension error here as in `Circuit::run`.
+fn run_with_override(
     circuit: &Circuit,
     params: &[f64],
     inputs: &[f64],
-    initial: Option<&B>,
+    initial: Option<&StateVector>,
     gate_idx: usize,
     override_theta: f64,
-) -> Result<B> {
+) -> Result<StateVector> {
     circuit.check_bindings(params, inputs)?;
-    let mut state = circuit.start_state(initial)?;
+    let mut state = start_state(circuit.n_qubits(), initial)?;
     for (i, g) in circuit.ops().iter().enumerate() {
         let theta = if i == gate_idx {
             override_theta
@@ -57,25 +60,29 @@ fn run_with_override<B: Backend>(
     Ok(state)
 }
 
-/// [`jacobian`] generalized over the simulator [`Backend`]: every shifted
-/// execution runs on `B`'s kernels and `measure` reads the `B` register.
+/// Full Jacobian of a measurement vector with respect to trainable
+/// parameters and inputs, via parameter shifts on the dense reference
+/// backend.
+///
+/// `measure` maps a final state to the output vector (e.g. per-wire `⟨Z⟩` or
+/// probabilities). Returns `(jac_params, jac_inputs)` where
+/// `jac_params[p][o] = d out_o / d θ_p`.
 ///
 /// # Errors
 ///
 /// Returns circuit-execution errors.
-pub fn jacobian_on<B, F>(
+pub fn jacobian<F>(
     circuit: &Circuit,
     params: &[f64],
     inputs: &[f64],
-    initial: Option<&B>,
+    initial: Option<&StateVector>,
     measure: F,
 ) -> Result<JacobianPair>
 where
-    B: Backend,
-    F: Fn(&B) -> Vec<f64>,
+    F: Fn(&StateVector) -> Vec<f64>,
 {
     circuit.check_bindings(params, inputs)?;
-    let n_out = measure(&circuit.run_on(params, inputs, initial)?).len();
+    let n_out = measure(&circuit.run(params, inputs, initial)?).len();
     let mut jac_params = vec![vec![0.0; n_out]; circuit.n_params()];
     let mut jac_inputs = vec![vec![0.0; n_out]; circuit.n_inputs()];
 
@@ -130,49 +137,6 @@ where
     Ok((jac_params, jac_inputs))
 }
 
-/// Full Jacobian of a measurement vector with respect to trainable
-/// parameters and inputs, via parameter shifts on the dense reference
-/// backend.
-///
-/// `measure` maps a final state to the output vector (e.g. per-wire `⟨Z⟩` or
-/// probabilities). Returns `(jac_params, jac_inputs)` where
-/// `jac_params[p][o] = d out_o / d θ_p`.
-///
-/// # Errors
-///
-/// Returns circuit-execution errors.
-pub fn jacobian<F>(
-    circuit: &Circuit,
-    params: &[f64],
-    inputs: &[f64],
-    initial: Option<&StateVector>,
-    measure: F,
-) -> Result<JacobianPair>
-where
-    F: Fn(&StateVector) -> Vec<f64>,
-{
-    jacobian_on(circuit, params, inputs, initial, measure)
-}
-
-/// [`jacobian_expectations_z`] generalized over the simulator [`Backend`].
-///
-/// # Errors
-///
-/// Returns circuit-execution errors.
-pub fn jacobian_expectations_z_on<B: Backend>(
-    circuit: &Circuit,
-    params: &[f64],
-    inputs: &[f64],
-    initial: Option<&B>,
-) -> Result<JacobianPair> {
-    let n = circuit.n_qubits();
-    jacobian_on(circuit, params, inputs, initial, |s: &B| {
-        (0..n)
-            .map(|w| s.expectation_z(w).expect("wire in range"))
-            .collect()
-    })
-}
-
 /// Jacobian of the per-wire `⟨Z⟩` readout.
 ///
 /// # Errors
@@ -184,21 +148,12 @@ pub fn jacobian_expectations_z(
     inputs: &[f64],
     initial: Option<&StateVector>,
 ) -> Result<JacobianPair> {
-    jacobian_expectations_z_on(circuit, params, inputs, initial)
-}
-
-/// [`jacobian_probabilities`] generalized over the simulator [`Backend`].
-///
-/// # Errors
-///
-/// Returns circuit-execution errors.
-pub fn jacobian_probabilities_on<B: Backend>(
-    circuit: &Circuit,
-    params: &[f64],
-    inputs: &[f64],
-    initial: Option<&B>,
-) -> Result<JacobianPair> {
-    jacobian_on(circuit, params, inputs, initial, |s: &B| s.probabilities())
+    let n = circuit.n_qubits();
+    jacobian(circuit, params, inputs, initial, |s| {
+        (0..n)
+            .map(|w| s.expectation_z(w).expect("wire in range"))
+            .collect()
+    })
 }
 
 /// Jacobian of the basis-state probability readout.
@@ -212,7 +167,7 @@ pub fn jacobian_probabilities(
     inputs: &[f64],
     initial: Option<&StateVector>,
 ) -> Result<JacobianPair> {
-    jacobian_probabilities_on(circuit, params, inputs, initial)
+    jacobian(circuit, params, inputs, initial, |s| s.probabilities())
 }
 
 /// Vector-Jacobian product computed by parameter shift (for cross-checking

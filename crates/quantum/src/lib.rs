@@ -9,12 +9,14 @@
 //! ## What it provides
 //!
 //! * [`StateVector`] — dense `2^n`-amplitude register with single-qubit,
-//!   controlled, and diagonal kernels plus `⟨Z⟩`/probability measurements.
-//! * [`backend`] — the simulator [`Backend`] trait behind every executor:
-//!   [`DenseBackend`] (the reference semantics), [`FusedDenseBackend`]
-//!   (gate fusion + half-space controlled kernels), and [`SoaDenseBackend`]
-//!   (split re/im planes + cache-blocked SIMD-friendly kernels); the seam
-//!   future GPU/sparse/tensor-network backends plug into.
+//!   controlled, and diagonal kernels plus `⟨Z⟩`/probability measurements;
+//!   the only register the gate-by-gate oracles run on.
+//! * [`backend`] — the simulator [`Backend`] trait behind every
+//!   compiled-tape executor: [`DenseBackend`] (the reference semantics),
+//!   [`FusedDenseBackend`] (CNOT-run permutations + half-space controlled
+//!   kernels), and [`SoaDenseBackend`] (split re/im planes + cache-blocked
+//!   SIMD-friendly kernels); the seam future GPU/sparse/tensor-network
+//!   backends plug into.
 //! * [`Circuit`] — a gate list with deferred [`Param`] binding (trainable
 //!   parameters vs. embedded input features).
 //! * [`tape`] — the batch-compiled execution pipeline: [`Circuit::compile`]

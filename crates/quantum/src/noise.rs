@@ -11,6 +11,7 @@ use crate::circuit::Circuit;
 use crate::error::Result;
 use crate::gate::Gate;
 use crate::state::StateVector;
+use crate::tape::start_state;
 use rand::Rng;
 
 /// A depolarizing noise model applied per gate per touched wire.
@@ -44,7 +45,8 @@ impl NoiseModel {
 ///
 /// # Errors
 ///
-/// Returns circuit-execution errors.
+/// Returns binding-count errors, a typed dimension mismatch if `initial`
+/// has a different width, and gate-application errors.
 pub fn run_trajectory(
     circuit: &Circuit,
     params: &[f64],
@@ -54,10 +56,7 @@ pub fn run_trajectory(
     rng: &mut impl Rng,
 ) -> Result<StateVector> {
     circuit.check_bindings(params, inputs)?;
-    let mut state = match initial {
-        Some(s) => s.clone(),
-        None => StateVector::zero_state(circuit.n_qubits())?,
-    };
+    let mut state = start_state(circuit.n_qubits(), initial)?;
     for g in circuit.ops() {
         let theta = g.param().map_or(0.0, |p| p.resolve(params, inputs));
         g.apply(&mut state, theta)?;
@@ -112,6 +111,7 @@ pub fn noisy_expectations_z(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::QuantumError;
     use crate::gate::Param;
     use crate::templates::{strongly_entangling_layers, EntangleRange};
     use rand::rngs::StdRng;
@@ -199,6 +199,24 @@ mod tests {
             )
             .unwrap();
             assert!((s.norm() - 1.0).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn mismatched_initial_is_a_typed_error() {
+        let (c, params) = test_circuit();
+        let noise = NoiseModel::depolarizing(0.1);
+        let mut rng = StdRng::seed_from_u64(6);
+        for n in [2, 4] {
+            let initial = StateVector::zero_state(n).unwrap();
+            let want = Err(QuantumError::DimensionMismatch {
+                expected: 8,
+                actual: 1 << n,
+            });
+            let got = run_trajectory(&c, &params, &[], Some(&initial), noise, &mut rng);
+            assert_eq!(got.map(|_| ()), want, "run_trajectory, {n} qubits");
+            let got = noisy_expectations_z(&c, &params, &[], Some(&initial), noise, 3, &mut rng);
+            assert_eq!(got.map(|_| ()), want, "noisy_expectations_z, {n} qubits");
         }
     }
 

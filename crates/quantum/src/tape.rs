@@ -165,9 +165,24 @@ impl AdjointStop {
         match self {
             AdjointStop::Train { inv, .. } => state.apply_tape_op(inv, inputs),
             AdjointStop::Input { gate, index } => {
-                gate.apply_inverse(state, input_angle(inputs, *index)?)
+                state.apply_tape_op(&gate.inverse_tape_op(input_angle(inputs, *index)?), inputs)
             }
         }
+    }
+}
+
+/// The register execution starts from: a dimension-checked clone of
+/// `initial`, or `|0…0⟩`. The tape, the gate-by-gate oracles and the noise
+/// trajectories all start here, so a width mismatch is the same typed error
+/// everywhere.
+pub(crate) fn start_state<B: Backend>(n_qubits: usize, initial: Option<&B>) -> Result<B> {
+    match initial {
+        Some(s) if s.n_qubits() != n_qubits => Err(QuantumError::DimensionMismatch {
+            expected: 1 << n_qubits,
+            actual: s.dim(),
+        }),
+        Some(s) => Ok(s.clone()),
+        None => B::zero_state(n_qubits),
     }
 }
 
@@ -298,23 +313,6 @@ impl CompiledTape {
         &self.adjoint
     }
 
-    /// The register execution starts from: a dimension-checked clone of
-    /// `initial`, or `|0…0⟩` (mirrors `Circuit::start_state`).
-    pub(crate) fn start_state<B: Backend>(&self, initial: Option<&B>) -> Result<B> {
-        match initial {
-            Some(s) => {
-                if s.n_qubits() != self.n_qubits {
-                    return Err(QuantumError::DimensionMismatch {
-                        expected: 1 << self.n_qubits,
-                        actual: s.dim(),
-                    });
-                }
-                Ok(s.clone())
-            }
-            None => B::zero_state(self.n_qubits),
-        }
-    }
-
     /// Executes the tape for one row and returns the final register.
     ///
     /// `inputs` resolves the late-bound embedding slots; `initial` lets the
@@ -326,8 +324,9 @@ impl CompiledTape {
     /// references, or a typed dimension mismatch if `initial` has a
     /// different width.
     pub fn execute_on<B: Backend>(&self, inputs: &[f64], initial: Option<&B>) -> Result<B> {
-        let mut state = self.start_state(initial)?;
-        state.execute_tape(self, inputs)?;
+        let mut state = start_state(self.n_qubits, initial)?;
+        self.check_inputs(inputs)?;
+        state.apply_tape_ops(&self.forward, inputs)?;
         Ok(state)
     }
 
@@ -340,7 +339,7 @@ impl CompiledTape {
         initial: Option<&B>,
     ) -> Result<(B, Vec<B>)> {
         self.check_inputs(inputs)?;
-        let mut state = self.start_state(initial)?;
+        let mut state = start_state(self.n_qubits, initial)?;
         let mut snapshots = Vec::with_capacity(self.snapshots.len());
         let mut done = 0;
         for &at in &self.snapshots {
@@ -353,7 +352,7 @@ impl CompiledTape {
     }
 
     /// Checks that `inputs` covers every late-bound slot.
-    pub(crate) fn check_inputs(&self, inputs: &[f64]) -> Result<()> {
+    fn check_inputs(&self, inputs: &[f64]) -> Result<()> {
         if inputs.len() < self.n_inputs {
             return Err(QuantumError::InputCountMismatch {
                 expected: self.n_inputs,
@@ -928,20 +927,14 @@ mod tests {
         c.crz(0, 1, Param::Fixed(0.7)).unwrap();
         let tape = c.compile(&[]).unwrap();
         assert_eq!(tape.forward_ops().len(), 1);
-        let fused: FusedDenseBackend = {
-            let mut s = FusedDenseBackend::zero_state(2).unwrap();
-            for w in 0..2 {
-                s.apply_single_qubit(w, &crate::gate::hadamard()).unwrap();
-            }
-            s.execute_tape(&tape, &[]).unwrap();
-            s
-        };
         let mut dense = StateVector::zero_state(2).unwrap();
         for w in 0..2 {
             dense
                 .apply_single_qubit(w, &crate::gate::hadamard())
                 .unwrap();
         }
+        let start = FusedDenseBackend::from_statevector(dense.clone());
+        let fused: FusedDenseBackend = tape.execute_on(&[], Some(&start)).unwrap();
         apply_gate_by_gate(&c, &mut dense);
         for (a, b) in fused
             .to_statevector()

@@ -37,19 +37,10 @@ pub const WORKERS_ENV_VAR: &str = "SQVAE_WORKERS";
 /// Reads the default worker-pool policy from `SQVAE_WORKERS`: unset or
 /// `auto` → [`Threads::Auto`] (one worker per available CPU); `0` or `off`
 /// → a single worker; `n` → exactly `n` workers. Unparseable values warn
-/// once on stderr and fall back to `auto` (matching the `SQVAE_THREADS` /
-/// `SQVAE_BACKEND` typo policy).
+/// once on stderr and fall back to `auto`, through the same reader as
+/// `SQVAE_THREADS` ([`Threads::from_env_var`]).
 pub fn workers_from_env() -> Threads {
-    match std::env::var(WORKERS_ENV_VAR) {
-        Ok(v) => v.parse().unwrap_or_else(|err: String| {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                eprintln!("warning: {WORKERS_ENV_VAR}: {err}; falling back to 'auto'");
-            });
-            Threads::Auto
-        }),
-        Err(_) => Threads::Auto,
-    }
+    Threads::from_env_var(WORKERS_ENV_VAR)
 }
 
 /// Configuration for [`InferenceServer::start`].
