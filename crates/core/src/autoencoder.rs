@@ -1,10 +1,9 @@
 //! The autoencoder: encoder stack → latent stage → decoder stack.
 
-use crate::hybrid::{HybridStack, ParamGroup};
 use crate::latent::Latent;
 use crate::models::ModelSpec;
 use rand::Rng;
-use sqvae_nn::{ExecPolicy, Matrix, Module, NnError, ParamTensor};
+use sqvae_nn::{ExecPolicy, Matrix, Module, NnError, ParamGroup, ParamTensor, Sequential};
 
 /// Per-group trainable parameter counts (the paper's Table I rows).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -30,9 +29,9 @@ impl ParameterCount {
 pub struct Autoencoder {
     /// Human-readable variant name (e.g. `"SQ-VAE(p=8)"`).
     pub name: String,
-    encoder: HybridStack,
+    encoder: Sequential,
     latent: Latent,
-    decoder: HybridStack,
+    decoder: Sequential,
     last_kl: f64,
     identity_latent_dim: Option<usize>,
     spec: Option<ModelSpec>,
@@ -52,9 +51,9 @@ impl Autoencoder {
     /// Assembles an autoencoder from its stages.
     pub fn new(
         name: impl Into<String>,
-        encoder: HybridStack,
+        encoder: Sequential,
         latent: Latent,
-        decoder: HybridStack,
+        decoder: Sequential,
     ) -> Self {
         Autoencoder {
             name: name.into(),
@@ -106,7 +105,6 @@ impl Autoencoder {
     pub fn latent_dim(&mut self) -> usize {
         match &mut self.latent {
             Latent::Gaussian(g) => g.latent_dim(),
-            Latent::Linear(l) => l.out_features(),
             // Identity: the encoder output width; probe with the decoder
             // input assumption — stored implicitly, so ask the encoder.
             Latent::Identity => self.probe_latent_dim(),
@@ -131,7 +129,6 @@ impl Autoencoder {
         let h = self.encoder.forward(input)?;
         let z = match &mut self.latent {
             Latent::Identity => h,
-            Latent::Linear(l) => l.forward(&h)?,
             Latent::Gaussian(g) => g.forward_sample(&h, rng)?,
         };
         let kl = match &self.latent {
@@ -153,7 +150,6 @@ impl Autoencoder {
         let h = self.encoder.forward(input)?;
         match &mut self.latent {
             Latent::Identity => Ok(h),
-            Latent::Linear(l) => l.forward(&h),
             Latent::Gaussian(g) => g.forward_mean(&h),
         }
     }
@@ -179,7 +175,6 @@ impl Autoencoder {
         let grad_z = self.decoder.backward(grad_reconstruction)?;
         let grad_h = match &mut self.latent {
             Latent::Identity => grad_z,
-            Latent::Linear(l) => l.backward(&grad_z)?,
             Latent::Gaussian(g) => g.backward(&grad_z)?,
         };
         self.encoder.backward(&grad_h)?;
@@ -244,8 +239,9 @@ impl Autoencoder {
         }
     }
 
-    /// Mutable access to all parameters in `group` (latent heads count as
-    /// classical).
+    /// Mutable access to all parameters in `group`: encoder, latent head
+    /// and decoder, in that order. Each stack layer names its own group
+    /// ([`Module::param_group`]); latent heads count as classical.
     pub fn parameters_of(&mut self, group: ParamGroup) -> Vec<&mut ParamTensor> {
         let mut v = self.encoder.parameters_of(group);
         if group == ParamGroup::Classical {
@@ -302,12 +298,12 @@ mod tests {
 
     fn tiny_vae(seed: u64) -> Autoencoder {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut enc = HybridStack::new();
-        enc.push_classical(Linear::new(6, 4, &mut rng));
-        enc.push_classical(Activation::new(ActivationKind::Relu));
+        let mut enc = Sequential::new();
+        enc.push(Linear::new(6, 4, &mut rng));
+        enc.push(Activation::new(ActivationKind::Relu));
         let latent = Latent::Gaussian(GaussianLatent::new(4, 2, 1.0, &mut rng));
-        let mut dec = HybridStack::new();
-        dec.push_classical(Linear::new(2, 6, &mut rng));
+        let mut dec = Sequential::new();
+        dec.push(Linear::new(2, 6, &mut rng));
         Autoencoder::new("tiny-vae", enc, latent, dec)
     }
 

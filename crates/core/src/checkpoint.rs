@@ -53,14 +53,13 @@
 
 use crate::autoencoder::Autoencoder;
 use crate::faults::{self, FaultPoint};
-use crate::hybrid::ParamGroup;
 use crate::models::ModelSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqvae_nn::serialize::{
     read_matrix, read_string, read_u32, read_u64, write_matrix, write_string, write_u32, write_u64,
 };
-use sqvae_nn::{BackendKind, ExecPolicy, Matrix};
+use sqvae_nn::{BackendKind, ExecPolicy, Matrix, ParamGroup};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -649,9 +648,9 @@ mod tests {
     fn handmade_models_cannot_be_captured() {
         let mut m = Autoencoder::new(
             "handmade",
-            crate::hybrid::HybridStack::new(),
+            sqvae_nn::Sequential::new(),
             crate::latent::Latent::Identity,
-            crate::hybrid::HybridStack::new(),
+            sqvae_nn::Sequential::new(),
         );
         assert!(matches!(
             Checkpoint::capture(&mut m, 0),

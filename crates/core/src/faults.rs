@@ -13,7 +13,7 @@
 //!   a just-written checkpoint is bit-flipped / truncated, simulating a
 //!   torn write (exercises checksum detection + `.bak` recovery).
 //! * [`FaultPoint::NanLoss`] — a training batch reports a non-finite loss
-//!   (exercises the trainer's snapshot rollback guard).
+//!   (exercises the trainer's non-finite guard: skipped step, LR decay).
 //!
 //! ## Determinism
 //!

@@ -170,10 +170,8 @@ impl GaussianLatent {
 #[derive(Debug)]
 #[allow(clippy::large_enum_variant)]
 pub enum Latent {
-    /// No latent transformation (fully quantum AE).
+    /// No latent transformation (the AE variants).
     Identity,
-    /// A latent fully connected layer (hybrid/classical AE variants).
-    Linear(Linear),
     /// Gaussian heads with reparametrized sampling (VAE variants).
     Gaussian(GaussianLatent),
 }
@@ -188,7 +186,6 @@ impl Latent {
     pub fn parameters(&mut self) -> Vec<&mut ParamTensor> {
         match self {
             Latent::Identity => Vec::new(),
-            Latent::Linear(l) => l.parameters(),
             Latent::Gaussian(g) => g.parameters(),
         }
     }
@@ -315,8 +312,6 @@ mod tests {
         let mut id = Latent::Identity;
         assert!(!id.is_variational());
         assert_eq!(id.parameter_count(), 0);
-        let mut lin = Latent::Linear(Linear::new(6, 6, &mut rng));
-        assert_eq!(lin.parameter_count(), 42);
         let g = Latent::Gaussian(GaussianLatent::new(6, 6, 1.0, &mut rng));
         assert!(g.is_variational());
     }

@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 
 mod autoencoder;
-mod hybrid;
 mod latent;
 mod patched;
 mod trainer;
@@ -53,7 +52,6 @@ pub mod models;
 pub mod sampling;
 
 pub use autoencoder::{Autoencoder, ForwardOutput, ParameterCount};
-pub use hybrid::{HybridStack, ParamGroup};
 pub use latent::{GaussianLatent, Latent};
 pub use patched::{patched_latent_dim, PatchedQuantumLayer, QuantumInput, QuantumOutput};
 pub use trainer::{
@@ -61,5 +59,6 @@ pub use trainer::{
 };
 
 // Re-exported so downstream users can build the `TrainConfig::exec`
-// execution policy without depending on `sqvae-nn` directly.
-pub use sqvae_nn::{BackendKind, ExecPolicy, Threads};
+// execution policy and name an optimizer group
+// (`Autoencoder::parameters_of`) without depending on `sqvae-nn` directly.
+pub use sqvae_nn::{BackendKind, ExecPolicy, ParamGroup, Threads};

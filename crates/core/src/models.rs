@@ -15,11 +15,10 @@
 //! hybrid variants (4202 / 4286 = 42 + 84·\[VAE\] + 4160).
 
 use crate::autoencoder::Autoencoder;
-use crate::hybrid::HybridStack;
 use crate::latent::{GaussianLatent, Latent};
 use crate::patched::{patched_latent_dim, PatchedQuantumLayer, QuantumInput, QuantumOutput};
 use rand::Rng;
-use sqvae_nn::{Activation, ActivationKind, Linear};
+use sqvae_nn::{Activation, ActivationKind, Linear, Sequential};
 use sqvae_quantum::embed::qubits_for_features;
 use sqvae_quantum::MAX_QUBITS;
 
@@ -350,25 +349,25 @@ pub fn default_hidden_dims(input_dim: usize) -> (usize, usize) {
     ((input_dim / 2).max(2), (input_dim / 4).max(2))
 }
 
-fn mlp_encoder(input_dim: usize, latent_dim: usize, rng: &mut impl Rng) -> HybridStack {
+fn mlp_encoder(input_dim: usize, latent_dim: usize, rng: &mut impl Rng) -> Sequential {
     let (h1, h2) = default_hidden_dims(input_dim);
-    let mut s = HybridStack::new();
-    s.push_classical(Linear::new(input_dim, h1, rng));
-    s.push_classical(Activation::new(ActivationKind::Relu));
-    s.push_classical(Linear::new(h1, h2, rng));
-    s.push_classical(Activation::new(ActivationKind::Relu));
-    s.push_classical(Linear::new(h2, latent_dim, rng));
+    let mut s = Sequential::new();
+    s.push(Linear::new(input_dim, h1, rng));
+    s.push(Activation::new(ActivationKind::Relu));
+    s.push(Linear::new(h1, h2, rng));
+    s.push(Activation::new(ActivationKind::Relu));
+    s.push(Linear::new(h2, latent_dim, rng));
     s
 }
 
-fn mlp_decoder(latent_dim: usize, output_dim: usize, rng: &mut impl Rng) -> HybridStack {
+fn mlp_decoder(latent_dim: usize, output_dim: usize, rng: &mut impl Rng) -> Sequential {
     let (h1, h2) = default_hidden_dims(output_dim);
-    let mut s = HybridStack::new();
-    s.push_classical(Linear::new(latent_dim, h2, rng));
-    s.push_classical(Activation::new(ActivationKind::Relu));
-    s.push_classical(Linear::new(h2, h1, rng));
-    s.push_classical(Activation::new(ActivationKind::Relu));
-    s.push_classical(Linear::new(h1, output_dim, rng));
+    let mut s = Sequential::new();
+    s.push(Linear::new(latent_dim, h2, rng));
+    s.push(Activation::new(ActivationKind::Relu));
+    s.push(Linear::new(h2, h1, rng));
+    s.push(Activation::new(ActivationKind::Relu));
+    s.push(Linear::new(h1, output_dim, rng));
     s
 }
 
@@ -410,10 +409,10 @@ fn baseline_quantum_encoder(
     input_dim: usize,
     n_layers: usize,
     rng: &mut impl Rng,
-) -> (HybridStack, usize) {
+) -> (Sequential, usize) {
     let n_qubits = qubits_for_features(input_dim);
-    let mut enc = HybridStack::new();
-    enc.push_quantum(PatchedQuantumLayer::new(
+    let mut enc = Sequential::new();
+    enc.push(PatchedQuantumLayer::new(
         1,
         n_qubits,
         n_layers,
@@ -426,9 +425,9 @@ fn baseline_quantum_encoder(
     (enc, n_qubits)
 }
 
-fn baseline_quantum_decoder(n_qubits: usize, n_layers: usize, rng: &mut impl Rng) -> HybridStack {
-    let mut dec = HybridStack::new();
-    dec.push_quantum(PatchedQuantumLayer::new(
+fn baseline_quantum_decoder(n_qubits: usize, n_layers: usize, rng: &mut impl Rng) -> Sequential {
+    let mut dec = Sequential::new();
+    dec.push(PatchedQuantumLayer::new(
         1,
         n_qubits,
         n_layers,
@@ -479,9 +478,9 @@ pub fn f_bq_vae(input_dim: usize, n_layers: usize, rng: &mut impl Rng) -> Autoen
 /// data.
 pub fn h_bq_ae(input_dim: usize, n_layers: usize, rng: &mut impl Rng) -> Autoencoder {
     let (mut enc, n_qubits) = baseline_quantum_encoder(input_dim, n_layers, rng);
-    enc.push_classical(Linear::new(n_qubits, n_qubits, rng));
+    enc.push(Linear::new(n_qubits, n_qubits, rng));
     let mut dec = baseline_quantum_decoder(n_qubits, n_layers, rng);
-    dec.push_classical(Linear::new(1 << n_qubits, input_dim, rng));
+    dec.push(Linear::new(1 << n_qubits, input_dim, rng));
     Autoencoder::new(format!("H-BQ-AE({input_dim}d)"), enc, Latent::Identity, dec)
         .with_identity_latent_dim(n_qubits)
         .with_spec(ModelSpec::HBqAe {
@@ -493,9 +492,9 @@ pub fn h_bq_ae(input_dim: usize, n_layers: usize, rng: &mut impl Rng) -> Autoenc
 /// Hybrid baseline VAE (H-BQ-VAE).
 pub fn h_bq_vae(input_dim: usize, n_layers: usize, rng: &mut impl Rng) -> Autoencoder {
     let (mut enc, n_qubits) = baseline_quantum_encoder(input_dim, n_layers, rng);
-    enc.push_classical(Linear::new(n_qubits, n_qubits, rng));
+    enc.push(Linear::new(n_qubits, n_qubits, rng));
     let mut dec = baseline_quantum_decoder(n_qubits, n_layers, rng);
-    dec.push_classical(Linear::new(1 << n_qubits, input_dim, rng));
+    dec.push(Linear::new(1 << n_qubits, input_dim, rng));
     Autoencoder::new(
         format!("H-BQ-VAE({input_dim}d)"),
         enc,
@@ -518,14 +517,14 @@ pub fn h_bq_vae(input_dim: usize, n_layers: usize, rng: &mut impl Rng) -> Autoen
 /// full-width FC.
 pub fn sq_ae(input_dim: usize, p: usize, n_layers: usize, rng: &mut impl Rng) -> Autoencoder {
     let lsd = patched_latent_dim(input_dim, p);
-    let mut enc = HybridStack::new();
-    enc.push_quantum(PatchedQuantumLayer::amplitude_encoder(
+    let mut enc = Sequential::new();
+    enc.push(PatchedQuantumLayer::amplitude_encoder(
         input_dim, p, n_layers, rng,
     ));
-    enc.push_classical(Linear::new(lsd, lsd, rng));
-    let mut dec = HybridStack::new();
-    dec.push_quantum(PatchedQuantumLayer::angle_decoder(lsd, p, n_layers, rng));
-    dec.push_classical(Linear::new(lsd, input_dim, rng));
+    enc.push(Linear::new(lsd, lsd, rng));
+    let mut dec = Sequential::new();
+    dec.push(PatchedQuantumLayer::angle_decoder(lsd, p, n_layers, rng));
+    dec.push(Linear::new(lsd, input_dim, rng));
     Autoencoder::new(
         format!("SQ-AE(p={p},lsd={lsd})"),
         enc,
@@ -543,14 +542,14 @@ pub fn sq_ae(input_dim: usize, p: usize, n_layers: usize, rng: &mut impl Rng) ->
 /// Scalable quantum VAE (SQ-VAE) with `p` patched sub-circuits.
 pub fn sq_vae(input_dim: usize, p: usize, n_layers: usize, rng: &mut impl Rng) -> Autoencoder {
     let lsd = patched_latent_dim(input_dim, p);
-    let mut enc = HybridStack::new();
-    enc.push_quantum(PatchedQuantumLayer::amplitude_encoder(
+    let mut enc = Sequential::new();
+    enc.push(PatchedQuantumLayer::amplitude_encoder(
         input_dim, p, n_layers, rng,
     ));
-    enc.push_classical(Linear::new(lsd, lsd, rng));
-    let mut dec = HybridStack::new();
-    dec.push_quantum(PatchedQuantumLayer::angle_decoder(lsd, p, n_layers, rng));
-    dec.push_classical(Linear::new(lsd, input_dim, rng));
+    enc.push(Linear::new(lsd, lsd, rng));
+    let mut dec = Sequential::new();
+    dec.push(PatchedQuantumLayer::angle_decoder(lsd, p, n_layers, rng));
+    dec.push(Linear::new(lsd, input_dim, rng));
     Autoencoder::new(
         format!("SQ-VAE(p={p},lsd={lsd})"),
         enc,

@@ -37,7 +37,7 @@
 
 use rand::Rng;
 use sqvae_nn::parallel;
-use sqvae_nn::{init, BackendKind, ExecPolicy, Matrix, Module, NnError, ParamTensor};
+use sqvae_nn::{init, BackendKind, ExecPolicy, Matrix, Module, NnError, ParamGroup, ParamTensor};
 use sqvae_quantum::embed::{
     amplitude_embedding, angle_embedding_gates, qubits_for_features, RotationAxis,
 };
@@ -463,6 +463,11 @@ impl Module for PatchedQuantumLayer {
         self.patches.iter_mut().collect()
     }
 
+    /// Circuit angles step with the quantum optimizer.
+    fn param_group(&self) -> ParamGroup {
+        ParamGroup::Quantum
+    }
+
     fn set_exec_policy(&mut self, policy: ExecPolicy) {
         self.exec = policy;
     }
@@ -473,7 +478,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sqvae_nn::Threads;
+    use sqvae_nn::{Activation, ActivationKind, Linear, Sequential, Threads};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)
@@ -833,6 +838,90 @@ mod tests {
             layer.forward(&Matrix::filled(1, w, 0.1)).unwrap();
             assert!(layer.backward(&Matrix::zeros(1, out + 1)).is_err());
             assert!(layer.backward(&Matrix::zeros(2, out)).is_err());
+        }
+    }
+
+    /// The hybrid stack every hybrid model is built from: a quantum layer
+    /// feeding classical ones, with no caller-set group tags.
+    fn hybrid_stack() -> Sequential {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut s = Sequential::new();
+        s.push(PatchedQuantumLayer::new(
+            1,
+            2,
+            1,
+            QuantumInput::Amplitude { in_features: 4 },
+            QuantumOutput::ExpectationZ,
+            &mut rng,
+        ));
+        s.push(Linear::new(2, 3, &mut rng));
+        s.push(Activation::new(ActivationKind::Tanh));
+        s
+    }
+
+    #[test]
+    fn modules_name_their_own_group() {
+        let mut rng = rng();
+        assert_eq!(
+            Linear::new(2, 3, &mut rng).param_group(),
+            ParamGroup::Classical
+        );
+        let act = Activation::new(ActivationKind::Tanh);
+        assert_eq!(act.param_group(), ParamGroup::Classical);
+        let q = single(2, 1, QuantumInput::Angle, QuantumOutput::ExpectationZ);
+        assert_eq!(q.param_group(), ParamGroup::Quantum);
+    }
+
+    #[test]
+    fn forward_chains_quantum_into_classical() {
+        let mut s = hybrid_stack();
+        let y = s.forward(&Matrix::filled(2, 4, 0.5)).unwrap();
+        assert_eq!(y.shape(), (2, 3));
+        assert_eq!(s.len(), 3);
+    }
+
+    #[test]
+    fn parameter_groups_split_by_module_type_in_push_order() {
+        let mut s = hybrid_stack();
+        let count = |ps: Vec<&mut ParamTensor>| ps.iter().map(|p| p.len()).sum::<usize>();
+        let q = count(s.parameters_of(ParamGroup::Quantum));
+        let c = count(s.parameters_of(ParamGroup::Classical));
+        assert_eq!(q, 6); // 1 layer × 2 qubits × 3
+        assert_eq!(c, 2 * 3 + 3);
+        assert_eq!(s.parameter_count(), q + c);
+        // The classical group is the Linear's weight then bias, exactly as
+        // `parameters()` lists them after the quantum patch.
+        let all: Vec<Matrix> = s.parameters().iter().map(|p| p.value.clone()).collect();
+        let classical: Vec<Matrix> = s
+            .parameters_of(ParamGroup::Classical)
+            .iter()
+            .map(|p| p.value.clone())
+            .collect();
+        assert_eq!(classical, all[1..]);
+    }
+
+    #[test]
+    fn backward_crosses_the_quantum_classical_boundary() {
+        let mut s = hybrid_stack();
+        let x = Matrix::from_rows(&[&[0.1, 0.2, 0.3, 0.4]]).unwrap();
+        let base = s.forward(&x).unwrap().sum();
+        s.backward(&Matrix::filled(1, 3, 1.0)).unwrap();
+        // Quantum parameter gradient via finite differences end-to-end.
+        let eps = 1e-6;
+        let grads = s.parameters_of(ParamGroup::Quantum)[0]
+            .grad
+            .as_slice()
+            .to_vec();
+        assert_eq!(grads.len(), 6);
+        for (k, &g) in grads.iter().enumerate() {
+            let mut s2 = hybrid_stack();
+            {
+                let mut qp = s2.parameters_of(ParamGroup::Quantum);
+                let v = qp[0].value.get(0, k);
+                qp[0].value.set(0, k, v + eps);
+            }
+            let fd = (s2.forward(&x).unwrap().sum() - base) / eps;
+            assert!((g - fd).abs() < 1e-4, "quantum param {k}: {g} vs {fd}");
         }
     }
 }

@@ -8,11 +8,10 @@
 use crate::autoencoder::Autoencoder;
 use crate::checkpoint::ParamSnapshot;
 use crate::faults::{self, FaultPoint};
-use crate::hybrid::ParamGroup;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqvae_datasets::Dataset;
-use sqvae_nn::{loss, Adam, ExecPolicy, Matrix, NnError, Optimizer};
+use sqvae_nn::{loss, Adam, ExecPolicy, Matrix, NnError, Optimizer, ParamGroup};
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,12 +47,12 @@ pub struct TrainConfig {
     /// [`ExecPolicy::from_env`] (`SQVAE_THREADS`, `SQVAE_BACKEND`).
     pub exec: ExecPolicy,
     /// Guard rail against divergence: when a batch produces a non-finite
-    /// loss or non-finite gradients, roll the parameters back to the last
-    /// good snapshot, scale the learning rates down, optionally re-derive
-    /// the RNG, record the event in [`History::anomalies`], and keep
-    /// training — instead of silently poisoning every later weight. `None`
-    /// restores the old fail-open behavior. Defaults to
-    /// [`NanGuard::default`].
+    /// loss or non-finite gradients, skip its optimizer step (the check runs
+    /// before the step, so the weights stay those of the last good batch),
+    /// scale the learning rates down, optionally re-derive the RNG, record
+    /// the event in [`History::anomalies`], and keep training — instead of
+    /// silently poisoning every later weight. `None` restores the old
+    /// fail-open behavior. Defaults to [`NanGuard::default`].
     pub nan_guard: Option<NanGuard>,
 }
 
@@ -62,15 +61,16 @@ pub struct TrainConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NanGuard {
     /// Give up — with a typed [`NnError::NonFinite`] — after this many
-    /// rollbacks in one run; the model is left on its last good snapshot.
+    /// skipped batches in one run; the model is left on the weights of its
+    /// last good batch.
     pub max_recoveries: usize,
-    /// Multiply both learning rates by this factor on every rollback
+    /// Multiply both learning rates by this factor on every skipped batch
     /// (0.5 = halve the step; a blown-up step is the usual culprit).
     pub lr_decay: f64,
-    /// Re-derive the shuffle/reparametrization RNG after a rollback, so the
-    /// retried trajectory does not replay the exact batch noise that blew
-    /// up (deterministic: the new seed is a hash of the old seed and the
-    /// rollback count).
+    /// Re-derive the reparametrization RNG after a skipped batch, so the
+    /// rest of the run does not replay the exact batch noise that blew up
+    /// (deterministic: the new seed is a hash of the old seed and the
+    /// recovery count).
     pub reseed: bool,
 }
 
@@ -103,7 +103,7 @@ pub struct AnomalyEvent {
     pub batch: usize,
     /// What was detected.
     pub kind: AnomalyKind,
-    /// Cumulative learning-rate scale in force *after* this rollback
+    /// Cumulative learning-rate scale in force *after* this recovery
     /// (1.0 → untouched; 0.25 → two halvings at the default decay).
     pub lr_scale: f64,
 }
@@ -317,10 +317,9 @@ impl Trainer {
         // (epoch, test MSE, weights) of the best epoch seen so far.
         let mut best: Option<(usize, f64, ParamSnapshot)> = None;
         let mut stale_epochs = 0usize;
-        // Non-finite guard state: the last known-good weights, how many
-        // rollbacks have fired, and the cumulative learning-rate scale.
+        // Non-finite guard state: how many recoveries have fired and the
+        // cumulative learning-rate scale.
         let guard = self.config.nan_guard;
-        let mut last_good = guard.map(|_| ParamSnapshot::capture(model));
         let mut recoveries = 0usize;
         let mut lr_scale = 1.0f64;
         for epoch in 0..self.config.epochs {
@@ -342,7 +341,9 @@ impl Trainer {
                 }
                 // Guard rail: divergence must never reach the optimizer. A
                 // non-finite loss skips backward outright; a finite loss
-                // still gets its gradients screened after backward.
+                // still gets its gradients screened after backward. Nothing
+                // has written the weights since the last good step, so
+                // skipping this one leaves them at their last good values.
                 if let Some(g) = guard {
                     let kind = if !mse.is_finite() || !out.kl.is_finite() {
                         Some(AnomalyKind::NonFiniteLoss)
@@ -356,11 +357,6 @@ impl Trainer {
                     };
                     if let Some(kind) = kind {
                         recoveries += 1;
-                        last_good
-                            .as_ref()
-                            .expect("guard active implies a snapshot")
-                            .restore(model)
-                            .expect("snapshot was captured from this very model");
                         model.zero_grad();
                         if recoveries > g.max_recoveries {
                             // Budget exhausted: surface a typed error, with
@@ -408,9 +404,6 @@ impl Trainer {
                 epoch_mse += mse * batch.len() as f64;
                 epoch_kl += out.kl * batch.len() as f64;
                 seen += batch.len();
-                if last_good.is_some() {
-                    last_good = Some(ParamSnapshot::capture(model));
-                }
             }
             let denom = seen.max(1) as f64;
             let test_mse = match test {

@@ -59,7 +59,7 @@ pub use error::{NnError, Result};
 pub use exec::ExecPolicy;
 pub use linear::Linear;
 pub use matrix::Matrix;
-pub use module::{Module, ParamTensor};
+pub use module::{Module, ParamGroup, ParamTensor};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use parallel::Threads;
 pub use sequential::Sequential;

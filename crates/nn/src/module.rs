@@ -42,6 +42,19 @@ impl ParamTensor {
     }
 }
 
+/// Which optimizer group a layer's parameters belong to.
+///
+/// The paper steps the two groups at different learning rates (§III-C:
+/// circuit angles live in `[-π, π]`, classical weights roam freely). Each
+/// layer names its own group through [`Module::param_group`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParamGroup {
+    /// Variational circuit angles (paper's best LR: 0.03).
+    Quantum,
+    /// Classical network weights (paper's best LR: 0.01).
+    Classical,
+}
+
 /// A differentiable layer mapping `[batch, in]` to `[batch, out]`.
 ///
 /// Contract: `backward` must be called after `forward` with an upstream
@@ -67,6 +80,12 @@ pub trait Module {
 
     /// Mutable access to every trainable tensor (possibly none).
     fn parameters(&mut self) -> Vec<&mut ParamTensor>;
+
+    /// The optimizer group of this layer's parameters. Classical unless
+    /// the layer overrides it (the quantum layers do).
+    fn param_group(&self) -> ParamGroup {
+        ParamGroup::Classical
+    }
 
     /// Total scalar parameter count.
     fn parameter_count(&mut self) -> usize {

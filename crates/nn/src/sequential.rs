@@ -2,10 +2,12 @@
 
 use crate::error::Result;
 use crate::matrix::Matrix;
-use crate::module::{Module, ParamTensor};
+use crate::module::{Module, ParamGroup, ParamTensor};
 
 /// A stack of modules applied in order; the building block for the paper's
-/// 3-hidden-layer classical encoders/decoders.
+/// 3-hidden-layer classical encoders/decoders and for its hybrid
+/// quantum-classical halves, whose optimizer groups
+/// [`Sequential::parameters_of`] splits by layer.
 ///
 /// # Examples
 ///
@@ -65,6 +67,17 @@ impl Sequential {
     /// Whether the stack is empty.
     pub fn is_empty(&self) -> bool {
         self.layers.is_empty()
+    }
+
+    /// Mutable parameter tensors of the layers whose
+    /// [`Module::param_group`] is `group`, in push order. A nested
+    /// `Sequential` counts as one classical layer.
+    pub fn parameters_of(&mut self, group: ParamGroup) -> Vec<&mut ParamTensor> {
+        self.layers
+            .iter_mut()
+            .filter(|l| l.param_group() == group)
+            .flat_map(|l| l.parameters())
+            .collect()
     }
 }
 

@@ -10,7 +10,7 @@
 //! | [`FaultPoint::QueueSaturation`] | [`crate::serve::InferenceServer::submit`] | [`crate::serve::ServeError::QueueFull`] backpressure + [`crate::serve::RetryPolicy`] |
 //! | [`FaultPoint::CheckpointFlip`] | after a checkpoint save | checksum detection + `.bak` recovery |
 //! | [`FaultPoint::CheckpointTruncate`] | after a checkpoint save | truncation detection + `.bak` recovery |
-//! | [`FaultPoint::NanLoss`] | a training batch's loss | trainer snapshot rollback guard |
+//! | [`FaultPoint::NanLoss`] | a training batch's loss | trainer non-finite guard (skipped step, LR decay, reseed) |
 //!
 //! Enable with [`install`] / [`FaultScope`] in tests, or set `SQVAE_FAULTS`
 //! (e.g. `seed=42,worker_panic=0.25,nan_loss=0.2`, or `on` for

@@ -54,7 +54,8 @@ impl std::fmt::Debug for BatchEngine {
 
 impl BatchEngine {
     /// An empty engine whose coalesced batches hold at most
-    /// `max_batch_rows` rows (sized to the `map_rows` sharding sweet spot).
+    /// `max_batch_rows` rows (sized to the `fill_rows` sharding sweet spot of
+    /// the quantum layers' forward pass).
     ///
     /// # Panics
     ///
